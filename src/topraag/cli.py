@@ -34,7 +34,15 @@ def _emit(report: dict, out_path):
         print(text)
 
 
+def _require(args, *options):
+    """Raise a ConfigError naming the required options left unset."""
+    missing = [f"--{name}" for name in options if getattr(args, name) is None]
+    if missing:
+        raise ConfigError(f"{args.command} needs {' and '.join(missing)}")
+
+
 def cmd_build(args) -> int:
+    _require(args, "graph", "model")
     graph = graph_from_json(args.graph)
     model = model_from_json(args.model)
     ball = build_ball(
@@ -81,14 +89,14 @@ def cmd_verify(args) -> int:
 
 
 def cmd_homology(args) -> int:
-    graph = graph_from_json(args.graph) if args.graph else None
     if args.valley is not None:
-        if graph is None:
-            raise ConfigError("--valley needs --graph")
-        report = valley_homology_report(graph, args.valley, args.window)
+        _require(args, "graph")
+        report = valley_homology_report(graph_from_json(args.graph), args.valley, args.window)
         report["command"] = "homology"
         _emit(report, args.out)
         return 0
+    _require(args, "graph", "model")
+    graph = graph_from_json(args.graph)
     model = model_from_json(args.model)
     ball = build_ball(
         model, graph, args.radius, vertex_cap=args.cap_vertices, cube_cap=args.cap_cubes

@@ -478,33 +478,22 @@ def valley_cells(graph: Graph, latitude: int, e_range, word_radius: int):
     lo, hi = e_range
     if lo > hi or word_radius < 0:
         raise EmptyWindow(f"window e-range {e_range} x radius {word_radius} is empty")
-    words = _artin_ball(graph, word_radius)
+    table = _artin_ball(graph, word_radius)
     verts = {}
-    for b in sorted(words, key=lambda w: (len(w), w)):
+    for b in sorted(table, key=lambda w: (len(w), w)):
         e = W.exponent(b)
         if e <= latitude and lo <= e <= hi:
             verts[b] = len(verts)
+    ctypes = [tuple(sorted(c, key=graph.order.get)) for c in cliques(graph).nonempty()]
     cells = []
-    fam = cliques(graph)
     for b in verts:
-        for nonempty in fam.nonempty():
-            ctype = tuple(sorted(nonempty, key=graph.order.get))
-            if W.exponent(b) + len(ctype) > latitude:
+        e = W.exponent(b)
+        for ctype in ctypes:
+            if e + len(ctype) > latitude:
                 continue
-            ids = []
-            ok = True
-            for mask in range(1 << len(ctype)):
-                w = b
-                for i, t in enumerate(ctype):
-                    if (mask >> i) & 1:
-                        w = W.multiply(graph, w, W.single(t, 1))
-                vid = verts.get(w)
-                if vid is None:
-                    ok = False
-                    break
-                ids.append(vid)
-            if ok:
-                cells.append((len(ctype), ctype, tuple(ids)))
+            ids = _window_corner_ids(table, verts, b, ctype)
+            if ids is not None:
+                cells.append((len(ctype), ctype, ids))
     seen = set()
     cubes = []
     for dim, ctype, ids in cells:
@@ -517,20 +506,46 @@ def valley_cells(graph: Graph, latitude: int, e_range, word_radius: int):
     return verts, cubes
 
 
+def _window_corner_ids(table, verts, b, ctype):
+    """Window ids of the corners b t_S of bQ_T by subset bitmask, read from
+    the letter table; None when a corner lies outside the window.  The
+    corner of a mask is the corner of the mask without its highest bit times
+    that letter, and every such corner is itself a corner of the cube."""
+    corners = [b]
+    for t in ctype:
+        letter = (t, 1)
+        for k in range(len(corners)):
+            w = table[corners[k]].get(letter)
+            if w not in verts:
+                return None
+            corners.append(w)
+    return tuple(verts[w] for w in corners)
+
+
 def _artin_ball(graph: Graph, radius: int):
-    seen = {()}
+    """The words of length <= radius, each mapped to its row of the letter
+    table: row[x] is the canonical form of w x for every letter x with w x in
+    the ball.  The BFS computes w x once; the reverse entry (w x) x^-1 = w is
+    recorded with it, so a letter that shortens a word is never multiplied
+    out again."""
+    letters = [(t, sign) for t in graph.vertices for sign in (1, -1)]
+    table = {(): {}}
     frontier = [()]
     for _ in range(radius):
         nxt = []
         for b in frontier:
-            for t in graph.vertices:
-                for sign in (1, -1):
-                    w = W.multiply(graph, b, W.single(t, sign))
-                    if w not in seen:
-                        seen.add(w)
-                        nxt.append(w)
+            row = table[b]
+            for x in letters:
+                if x in row:
+                    continue
+                w = W.multiply(graph, b, (x,))
+                if w not in table:
+                    table[w] = {}
+                    nxt.append(w)
+                row[x] = w
+                table[w][(x[0], -x[1])] = b
         frontier = nxt
-    return seen
+    return table
 
 
 # -- local geometry -------------------------------------------------------------

@@ -23,6 +23,7 @@ class Graph:
     vertices: tuple[str, ...]
     edges: frozenset[frozenset[str]]
     _adj: dict[str, frozenset[str]] = field(compare=False, repr=False, default=None)
+    _order: dict[str, int] = field(compare=False, repr=False, default=None)
 
     def __post_init__(self):
         adj = {v: set() for v in self.vertices}
@@ -31,10 +32,12 @@ class Graph:
             adj[a].add(b)
             adj[b].add(a)
         object.__setattr__(self, "_adj", {v: frozenset(ns) for v, ns in adj.items()})
+        object.__setattr__(self, "_order", {v: i for i, v in enumerate(self.vertices)})
 
     @property
     def order(self) -> dict[str, int]:
-        return {v: i for i, v in enumerate(self.vertices)}
+        """Position of each vertex in the input order; shared, do not mutate."""
+        return self._order
 
     def adjacent(self, a: str, b: str) -> bool:
         return b in self._adj[a]

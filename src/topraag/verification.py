@@ -10,7 +10,7 @@ import itertools
 import random
 
 from . import words as W
-from .errors import RegimeMismatch
+from .errors import ConfigError, RegimeMismatch
 from .graphs import Graph, is_chordal
 from .models import BaseModel
 from .elements import (
@@ -296,11 +296,11 @@ def run_suite(name, model=None, graph=None, radius=2, n=3, rng=None, latitude=0,
     if name == "sb":
         return suite_sb(n, rng)
     if graph is None:
-        raise RegimeMismatch(f"suite {name!r} needs --graph")
+        raise ConfigError(f"suite {name!r} needs --graph")
     if name == "valleys":
         return suite_valleys(model, graph, rng, latitude=latitude, window=window)
     if model is None:
-        raise RegimeMismatch(f"suite {name!r} needs --model")
+        raise ConfigError(f"suite {name!r} needs --model")
     if name == "normal-form":
         return suite_normal_form(model, graph, rng)
     if name == "stabilisers":

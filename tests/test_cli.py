@@ -51,6 +51,27 @@ def test_config_error_exit_2(tmp_path, capsys):
     assert code == 2
 
 
+def assert_config_error(code, capsys):
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.count("\n") == 1
+
+
+def test_build_without_model_exit_2(capsys):
+    code = run_cli(["build", "--graph", CONFIGS / "edge.json"])
+    assert_config_error(code, capsys)
+
+
+def test_homology_without_model_exit_2(capsys):
+    code = run_cli(["homology", "--graph", CONFIGS / "edge.json"])
+    assert_config_error(code, capsys)
+
+
+def test_verify_without_model_exit_2(capsys):
+    code = run_cli(["verify", "--suite", "nerve", "--graph", CONFIGS / "edge.json"])
+    assert_config_error(code, capsys)
+
+
 def test_verify_pockets_passes(capsys):
     code = run_cli(
         ["verify", "--suite", "pockets", "--graph", CONFIGS / "edge.json",

@@ -256,6 +256,59 @@ def test_valley_cells_window():
         valley_cells(EDGE, 0, (1, 0), 4)
 
 
+def _plain_valley(graph, latitude, e_range, radius):
+    # reference: BFS and every cube corner by words.multiply, no letter table
+    ball = {()}
+    frontier = [()]
+    for _ in range(radius):
+        nxt = []
+        for b in frontier:
+            for t in graph.vertices:
+                for sign in (1, -1):
+                    w = W.multiply(graph, b, W.single(t, sign))
+                    if w not in ball:
+                        ball.add(w)
+                        nxt.append(w)
+        frontier = nxt
+    lo, hi = e_range
+    verts = {}
+    for b in sorted(ball, key=lambda w: (len(w), w)):
+        if lo <= W.exponent(b) <= min(hi, latitude):
+            verts[b] = len(verts)
+    cubes = {(0, (), (vid,)) for vid in verts.values()}
+    for b in verts:
+        for clique in cliques(graph).nonempty():
+            ctype = tuple(sorted(clique, key=graph.order.get))
+            if W.exponent(b) + len(ctype) > latitude:
+                continue
+            corners = []
+            for mask in range(1 << len(ctype)):
+                w = b
+                for i, t in enumerate(ctype):
+                    if (mask >> i) & 1:
+                        w = W.multiply(graph, w, W.single(t, 1))
+                corners.append(w)
+            if all(w in verts for w in corners):
+                cubes.add((len(ctype), ctype, tuple(verts[w] for w in corners)))
+    return verts, cubes
+
+
+def test_valley_cells_match_plain_corner_walk():
+    windows = [
+        (EDGE, 0, (-2, 0), 4),
+        (EDGE, 1, (-3, 1), 4),
+        (EDGE, -1, (-4, 0), 3),
+        (cycle_graph("abcd"), 0, (-5, 0), 3),
+        (cycle_graph("abcd"), 1, (-2, 1), 3),
+        (cycle_graph("abcd"), 0, (-1, 0), 2),
+    ]
+    for graph, latitude, e_range, radius in windows:
+        verts, cubes = valley_cells(graph, latitude, e_range, radius)
+        ref_verts, ref_cubes = _plain_valley(graph, latitude, e_range, radius)
+        assert verts == ref_verts
+        assert len(cubes) == len(ref_cubes) and set(cubes) == ref_cubes
+
+
 def test_valley_cells_empty_below_window():
     verts, cubes = valley_cells(EDGE, -9, (-2, 0), 3)
     assert not verts

@@ -1,13 +1,14 @@
 """Smith normal form, chain complexes, reduced homology, persistence."""
 
 import random
+import signal
 
 import pytest
 
 from topraag.errors import NonClosedComplex
 from topraag.graphs import complete_graph, cycle_graph, edge_graph, path_graph
 from topraag.models import ShiftModel, TrivialModel, s3_a3_model
-from topraag.complexes import build_ball
+from topraag.complexes import build_ball, valley_cells
 from topraag.homology import (
     SparseMatrix,
     chain_complex,
@@ -77,6 +78,77 @@ def test_snf_rank_matches_Q_rank_random():
         rows, cols = rng.randint(1, 7), rng.randint(1, 7)
         m = [[rng.choice((-2, -1, 0, 0, 0, 1, 1, 2)) for _ in range(cols)] for _ in range(rows)]
         assert smith_normal_form(m).rank == rank_over_Q(m)
+
+
+# Small dense matrices on which floor-division Euclid passes let core
+# entries swell past ten thousand bits; sympy gives the invariant factors.
+SWELL_CASES = [
+    (
+        [[1, 4, 4, 0, 0, 6, 3, 0, 0], [0, 0, 4, 0, 6, 4, 0, 6, 0], [-2, 0, 6, 2, -1, 1, 1, 3, 4],
+         [0, 0, 1, 0, 3, 4, 2, -2, 0], [0, 0, -2, 6, 6, 0, 3, 0, 2], [1, 0, 0, 0, 4, 3, -2, -2, 0],
+         [6, 3, 1, -1, 0, 3, 3, 2, 1]],
+        [1, 1, 1, 1, 1, 1, 4],
+    ),
+    (
+        [[3, 0, -1, 4, 0, 0, -2, 0, 3], [0, 1, 1, 0, 0, 3, 3, 3, 3], [-1, 4, 0, 0, 6, 6, 3, 6, 6],
+         [6, 6, 1, 0, 3, 4, 1, 0, 2], [1, 0, 4, 2, 0, 0, 1, -2, 0], [0, -2, 0, -1, 1, -2, -2, 0, 0],
+         [-2, 1, 1, 0, -2, 3, 0, -2, 0], [-1, 3, 4, 1, -1, 0, 1, -2, -2], [4, 3, 1, 1, 2, 6, -1, 0, 1]],
+        [1, 1, 1, 1, 1, 1, 1, 1, 522918],
+    ),
+]
+
+
+def _fail_on_alarm(signum, frame):
+    raise TimeoutError("smith_normal_form did not return in time")
+
+
+def test_snf_divisors_match_sympy():
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import invariant_factors
+
+    def expected(m):
+        factors = invariant_factors(sympy.Matrix(m), domain=sympy.ZZ)
+        return [abs(int(x)) for x in factors if x]
+
+    rng = random.Random(4)
+    cases = [m for m, _ in SWELL_CASES]
+    for _ in range(300):
+        rows, cols = rng.randint(1, 9), rng.randint(1, 9)
+        cases.append([[rng.choice((0, 0, 1, -1, 2, -2, 3, 4, 6)) for _ in range(cols)] for _ in range(rows)])
+    for _ in range(100):
+        # products through a thin middle factor: low rank and large divisors
+        rows, mid, cols = rng.randint(2, 9), rng.randint(1, 6), rng.randint(2, 9)
+        left = [[rng.choice((0, 2, -2, 3, 4, 6)) for _ in range(mid)] for _ in range(rows)]
+        right = [[rng.choice((0, 1, 2, -3, 4)) for _ in range(cols)] for _ in range(mid)]
+        cases.append(dense_mul(left, right))
+    old_handler = signal.signal(signal.SIGALRM, _fail_on_alarm)
+    signal.alarm(60)
+    try:
+        for m, want in SWELL_CASES:
+            assert smith_normal_form(m).divisors == want
+            assert smith_normal_form(m, with_transforms=True).divisors == want
+        with_torsion = 0
+        for m in cases:
+            got = smith_normal_form(m).divisors
+            assert got == expected(m), m
+            with_torsion += any(d > 1 for d in got)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old_handler)
+    assert with_torsion >= 100, with_torsion
+
+
+def test_snf_unit_pivots_on_valley_boundaries():
+    # the boundaries are mostly +-1 entries, so the sparse pass does nearly
+    # all the work; Q-rank and GF(2) rank check it independently
+    for graph in (path_graph("pqr"), complete_graph("abc")):
+        verts, cubes = valley_cells(graph, 0, (-5, 0), 3)
+        cc = chain_complex(cubes)
+        assert cc.boundaries
+        for bd in cc.boundaries.values():
+            res = smith_normal_form(bd)
+            assert res.rank == rank_over_Q(bd)
+            assert sum(1 for x in res.divisors if x % 2) == rank_mod2(bd)
 
 
 def test_rank_mod2():
