@@ -108,9 +108,6 @@ class TreeEngine(Engine):
         toks.append(u_token(g.tail))
         return toks
 
-    def tokens_of(self, g):
-        return tuple(self._tokens_of(g))
-
     def key(self, g):
         m = self.model
         return (
@@ -169,14 +166,6 @@ class BrittonWord:
 
     def stable_count(self) -> int:
         return sum(1 for t in self.tokens if t[0] == "gen")
-
-    def is_trivial(self, model: BaseModel) -> bool:
-        if self.stable_count():
-            return False
-        u = model.identity()
-        for t in self.tokens:
-            u = model.mul(u, t[1])
-        return u == model.identity()
 
 
 def hnn_retract(model: BaseModel, graph: Graph, tokens, letter: str = "t") -> BrittonWord:

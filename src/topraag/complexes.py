@@ -43,9 +43,6 @@ class Cube:
     min_corner: int = field(compare=False)
     gelem: object = field(compare=False, default=None)  # defining group element
 
-    def corner_set(self) -> frozenset:
-        return frozenset(self.corners)
-
     def faces(self):
         """Vertex sets of all faces, one per pair A <= B <= ctype."""
         d = self.dim
@@ -80,6 +77,7 @@ class CubeBall:
         self.cubes: list[Cube] = []
         self.cube_ids: dict[frozenset, int] = {}
         self.adjacency: dict[int, set[int]] = {}
+        self.apartment_trace = None      # (words -> ids, cubes), built on demand
 
     # -- construction helpers ----------------------------------------------
     def _add_vertex(self, rep, d):
@@ -249,11 +247,6 @@ def _cube_corners(ball: CubeBall, g, ctype):
 
 # -- stabilisers -------------------------------------------------------------
 
-def stabiliser_formula(model: BaseModel, cube_dim: int) -> str:
-    """Pointwise stabiliser of a cube gQ_T: g phi^{|T|}(O) g^{-1}."""
-    return f"g * phi^{cube_dim}(O) * g^-1"
-
-
 def stabiliser_formula_set(ball: CubeBall, cube: Cube):
     """The set g phi^{|T|}(O) g^{-1} for finite models, with g the element
     defining the cube (same-coset substitutes would conjugate wrongly)."""
@@ -278,20 +271,10 @@ def stabiliser_bruteforce(ball: CubeBall, cube: Cube):
         raise InfiniteStabiliser("brute-force stabilisers need a finite model")
     engine = ball.engine
     g = cube.gelem
-    corner_elems = []
-    for mask in range(1 << cube.dim):
-        x = g
-        for i, t in enumerate(cube.ctype):
-            if (mask >> i) & 1:
-                x = engine.mul_token(x, gen_token(t, 1))
-        corner_elems.append(x)
     out = set()
     for u in sorted(model.U):
         n = engine.mul(engine.mul_token(g, u_token(u)), engine.inv(g))
-        if all(
-            engine.coset_key(engine.mul(n, ce)) == engine.coset_key(ce)
-            for ce in corner_elems
-        ):
+        if all(_fixes(ball, n, vid) for vid in cube.corners):
             out.add(engine.key(n))
     return out
 
@@ -379,89 +362,47 @@ def base_apartment_trace(ball: CubeBall):
     Returns (vertices, cubes) where vertices maps an Artin word b to the ball
     vertex id of bU and cubes lists (b, ctype, cube_id).
     """
-    cached = getattr(ball, "_trace", None)
-    if cached is not None:
-        return cached
+    if ball.apartment_trace is not None:
+        return ball.apartment_trace
     engine = ball.engine
     graph = ball.graph
-    seen = {(): engine.from_tokens(())}
-    frontier = [()]
+    table = _artin_ball(graph, ball.radius)
     verts = {}
-    for _ in range(ball.radius):
-        nxt = []
-        for b in frontier:
-            for t in graph.vertices:
-                for sign in (1, -1):
-                    word = W.multiply(graph, b, W.single(t, sign))
-                    if word not in seen:
-                        seen[word] = engine.from_tokens(
-                            tuple(gen_token(g, e) for g, e in word)
-                        )
-                        nxt.append(word)
-        frontier = nxt
-    for word, elem in seen.items():
+    for word in table:
+        elem = engine.from_tokens(tuple(gen_token(g, e) for g, e in word))
         vid = ball.vertex_id_of(elem)
         if vid is not None:
             verts[word] = vid
+    ctypes = [tuple(sorted(c, key=graph.order.get)) for c in cliques(graph).nonempty()]
     cubes = []
-    fam = cliques(graph)
-    for word, vid in verts.items():
-        for nonempty in fam.nonempty():
-            ctype = tuple(sorted(nonempty, key=graph.order.get))
-            corner_ids = _apartment_cube_ids(ball, verts, word, ctype)
+    for word in verts:
+        for ctype in ctypes:
+            corner_ids = _window_corner_ids(table, verts, word, ctype)
             if corner_ids is None:
                 continue
             cid = ball.cube_ids.get(frozenset(corner_ids))
             if cid is not None:
                 cubes.append((word, ctype, cid))
-    ball._trace = (verts, cubes)
-    ball._trace_elems = {w: seen[w] for w in verts}
-    return verts, cubes
+    ball.apartment_trace = (verts, cubes)
+    return ball.apartment_trace
 
 
-def _apartment_cube_ids(ball, verts, word, ctype):
-    graph = ball.graph
-    ids = []
-    for mask in range(1 << len(ctype)):
-        w = word
-        for i, t in enumerate(ctype):
-            if (mask >> i) & 1:
-                w = W.multiply(graph, w, W.single(t, 1))
-        vid = verts.get(w)
-        if vid is None:
-            return None
-        ids.append(vid)
-    return ids
+def _fixes(ball: CubeBall, n, vid: int) -> bool:
+    """Whether n fixes the vertex, by acting on its representative."""
+    return ball.vertex_id_of(ball.engine.mul(n, ball.vertex_reps[vid])) == vid
 
 
 def brute_force_fixed_cells(ball: CubeBall, n):
     """Cells of the base apartment trace fixed pointwise by n, by direct
     action on every corner; the oracle side of the trichotomy check."""
-    engine = ball.engine
     verts, cubes = base_apartment_trace(ball)
-    elems = ball._trace_elems
-    cosets = getattr(ball, "_trace_cosets", None)
-    if cosets is None:
-        cosets = {w: engine.coset_key(elems[w]) for w in verts}
-        ball._trace_cosets = cosets
-    fixed_vertices = set()
-    for word, vid in verts.items():
-        moved = engine.mul(n, elems[word])
-        if engine.coset_key(moved) == cosets[word]:
-            fixed_vertices.add(word)
-    fixed_cubes = []
-    for word, ctype, cid in cubes:
-        ok = True
-        for mask in range(1 << len(ctype)):
-            w = word
-            for i, t in enumerate(ctype):
-                if (mask >> i) & 1:
-                    w = W.multiply(ball.graph, w, W.single(t, 1))
-            if w not in fixed_vertices:
-                ok = False
-                break
-        if ok:
-            fixed_cubes.append((word, ctype, cid))
+    fixed_ids = {vid for vid in set(verts.values()) if _fixes(ball, n, vid)}
+    fixed_vertices = {word for word, vid in verts.items() if vid in fixed_ids}
+    fixed_cubes = [
+        (word, ctype, cid)
+        for word, ctype, cid in cubes
+        if fixed_ids.issuperset(ball.cubes[cid].corners)
+    ]
     return fixed_vertices, fixed_cubes
 
 

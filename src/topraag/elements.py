@@ -162,9 +162,6 @@ class Engine:
     def from_tokens(self, tokens):
         raise NotImplementedError
 
-    def from_text(self, text):
-        return self.from_tokens(parse_tokens(self.model, self.graph, text))
-
     def mul(self, a, b):
         raise NotImplementedError
 
@@ -191,10 +188,6 @@ class Engine:
         raise NotImplementedError
 
     def n_part(self, a):
-        raise NotImplementedError
-
-    def tokens_of(self, a) -> tuple[Token, ...]:
-        """A token spelling of the element (not unique, but canonical here)."""
         raise NotImplementedError
 
     def coset_rep(self, a):
@@ -245,9 +238,6 @@ class AutomorphicEngine(Engine):
 
     def key(self, a):
         return sequence_key(self.model, a)
-
-    def tokens_of(self, a):
-        return word_of(a)
 
     def is_in_U(self, a):
         return a.length == 0
@@ -300,11 +290,6 @@ class AutomorphicEngine(Engine):
             parts.append(W.format_word(word))
             parts.append(m.format_u(u))
         return " ".join(parts)
-
-
-def extended_exponent(engine: Engine, a) -> int:
-    """Group homomorphism to Z killing U and sending every generator to 1."""
-    return engine.exponent(a)
 
 
 def verify_relations(model: BaseModel, graph: Graph, samples=None) -> dict:

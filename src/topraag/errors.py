@@ -33,10 +33,6 @@ class UnknownGenerator(ConfigError):
     pass
 
 
-class GraphMismatch(ConfigError):
-    pass
-
-
 class NotAJoinFactor(ConfigError):
     pass
 

@@ -114,13 +114,6 @@ def _check_value(v):
     raise ValueError(f"bad graded dimension value {v!r}")
 
 
-def group_homology_table(dims: dict, default=0) -> GradedDim:
-    """GradedDim for a group: degree 0 is forced to 1."""
-    table = dict(dims)
-    table[0] = 1
-    return GradedDim(table, default=default)
-
-
 def kunneth(a: GradedDim, b: GradedDim) -> GradedDim:
     """Degreewise convolution c_n = sum_p a_p * b_{n-p}; over Q there is no
     torsion correction term."""

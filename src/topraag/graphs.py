@@ -11,6 +11,7 @@ import json
 from dataclasses import dataclass, field
 
 from .errors import (
+    ConfigError,
     DuplicateVertex,
     LabelClash,
     SelfLoop,
@@ -125,6 +126,10 @@ def validate_graph(raw) -> Graph:
     """Build a Graph from {"vertices": [...], "edges": [[a,b], ...]}."""
     if isinstance(raw, Graph):
         return raw
+    if not isinstance(raw, dict):
+        raise ConfigError(f"graph must be a JSON object, got {type(raw).__name__}")
+    if "vertices" not in raw:
+        raise ConfigError("graph needs 'vertices'")
     verts = [str(v) for v in raw["vertices"]]
     seen = set()
     for v in verts:

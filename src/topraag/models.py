@@ -496,17 +496,25 @@ class TrivialModel(BaseModel):
 
 
 def model_from_config(cfg: dict) -> BaseModel:
+    if not isinstance(cfg, dict):
+        raise ModelError(f"model must be a JSON object, got {type(cfg).__name__}")
     kind = cfg.get("kind")
+
+    def need(key):
+        if key not in cfg:
+            raise ModelError(f"{kind} model needs {key!r}")
+        return cfg[key]
+
     if kind == "shift":
-        return ShiftModel(int(cfg["m"]))
+        return ShiftModel(int(need("m")))
     if kind == "trivial":
         return TrivialModel()
     if kind == "finite":
         return FiniteModel(
-            int(cfg["degree"]),
-            cfg["U_gens"],
-            cfg["O_gens"],
-            cfg["phi_images"],
+            int(need("degree")),
+            need("U_gens"),
+            need("O_gens"),
+            need("phi_images"),
             coset_reps=cfg.get("coset_reps"),
         )
     raise ModelError(f"unknown model kind {kind!r}")

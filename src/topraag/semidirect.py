@@ -75,16 +75,6 @@ class SemidirectEngine(Engine):
     def key(self, g):
         return ((g.n.k, g.n.u), g.a)
 
-    def tokens_of(self, g):
-        s = self.graph.vertices[0]
-        toks = []
-        toks.extend([gen_token(s, -1)] * g.n.k)
-        if g.n.u:
-            toks.append(u_token(g.n.u))
-        toks.extend([gen_token(s, 1)] * g.n.k)
-        toks.extend(gen_token(gen, e) for gen, e in g.a)
-        return tuple(toks)
-
     def is_in_U(self, g):
         return not g.a and g.n.k == 0
 

@@ -10,7 +10,7 @@ the group iff they are equal as tuples.
 
 from __future__ import annotations
 
-from .errors import GraphMismatch, NotAJoinFactor, UnknownGenerator, WordLengthCap
+from .errors import NotAJoinFactor, UnknownGenerator, WordLengthCap
 from .graphs import Graph
 
 Letter = tuple[str, int]
@@ -98,20 +98,25 @@ def _lex_least(g: Graph, w: list[Letter]) -> list[Letter]:
     # enough: a word can be locally swap-minimal without being least (e.g.
     # over the 4-cycle a-b-c-d the words "a^-1 c^-1 a b" and "a^-1 b c^-1 a"
     # are both bubble-fixed but equal in the group).
+    # One scan per emitted letter: `allowed` holds the generators commuting
+    # with every pending letter seen so far (no self-loops, so a repeated
+    # generator is blocked too).
+    order, adj = g.order, g._adj
     pending = list(w)
     out = []
     while pending:
-        best = 0
-        for i in range(len(pending)):
-            gen_i = pending[i][0]
-            blocked = any(
-                pending[j][0] == gen_i or not g.adjacent(pending[j][0], gen_i)
-                for j in range(i)
-            )
-            if blocked:
-                continue
-            if _letter_key(g, pending[i]) < _letter_key(g, pending[best]):
-                best = i
+        gen, e = pending[0]
+        best, best_key = 0, (order[gen], e != 1)
+        allowed = adj[gen]
+        for i in range(1, len(pending)):
+            if not allowed:
+                break
+            gen, e = pending[i]
+            if gen in allowed:
+                key = (order[gen], e != 1)
+                if key < best_key:
+                    best, best_key = i, key
+            allowed = allowed & adj[gen]
         out.append(pending.pop(best))
     return out
 
@@ -134,10 +139,6 @@ def invert(g: Graph, w: Word) -> Word:
 
 def single(gen: str, e: int = 1) -> Word:
     return ((gen, e),)
-
-
-def power(g: Graph, gen: str, n: int) -> Word:
-    return normal_form(g, ((gen, 1 if n > 0 else -1),) * abs(n))
 
 
 def parabolic_project(g: Graph, t_subset, w: Word) -> Word:
@@ -188,8 +189,3 @@ def normal_form_bruteforce(g: Graph, w: Word) -> Word:
     shortest = min(len(x) for x in cls)
     candidates = [x for x in cls if len(x) == shortest]
     return min(candidates, key=lambda x: [_letter_key(g, l) for l in x])
-
-
-def require_same_graph(g1: Graph, g2: Graph) -> None:
-    if g1 != g2:
-        raise GraphMismatch("words live over different graphs")

@@ -57,6 +57,28 @@ def assert_config_error(code, capsys):
     assert err.startswith("config error:") and err.count("\n") == 1
 
 
+def test_graph_not_an_object_exit_2(tmp_path, capsys):
+    bad = tmp_path / "list.json"
+    bad.write_text("[1, 2]")
+    code = run_cli(["build", "--graph", bad, "--model", CONFIGS / "trivial.json"])
+    assert_config_error(code, capsys)
+
+
+def test_model_not_an_object_exit_2(tmp_path, capsys):
+    bad = tmp_path / "list.json"
+    bad.write_text("[1, 2]")
+    code = run_cli(["build", "--graph", CONFIGS / "edge.json", "--model", bad])
+    assert_config_error(code, capsys)
+
+
+def test_model_missing_key_exit_2(tmp_path, capsys):
+    bad = tmp_path / "shift.json"
+    bad.write_text(json.dumps({"kind": "shift"}))
+    code = run_cli(["build", "--graph", CONFIGS / "edge.json", "--model", bad])
+    assert code == 2
+    assert capsys.readouterr().err == "config error: shift model needs 'm'\n"
+
+
 def test_build_without_model_exit_2(capsys):
     code = run_cli(["build", "--graph", CONFIGS / "edge.json"])
     assert_config_error(code, capsys)

@@ -233,6 +233,83 @@ def test_trichotomy_against_bruteforce():
                     assert (W.exponent(b) + len(t) <= lat) == ((b, t) in keys)
 
 
+def _plain_trace(ball):
+    # reference: word BFS with engine elements and every cube corner by
+    # words.multiply, no letter table
+    engine, graph = ball.engine, ball.graph
+    seen = {(): engine.from_tokens(())}
+    frontier = [()]
+    for _ in range(ball.radius):
+        nxt = []
+        for b in frontier:
+            for t in graph.vertices:
+                for sign in (1, -1):
+                    w = W.multiply(graph, b, W.single(t, sign))
+                    if w not in seen:
+                        seen[w] = engine.from_tokens(tuple(gen_token(g, e) for g, e in w))
+                        nxt.append(w)
+        frontier = nxt
+    verts = {}
+    for w, elem in seen.items():
+        vid = ball.vertex_id_of(elem)
+        if vid is not None:
+            verts[w] = vid
+
+    def corner_words(b, ctype):
+        out = []
+        for mask in range(1 << len(ctype)):
+            w = b
+            for i, t in enumerate(ctype):
+                if (mask >> i) & 1:
+                    w = W.multiply(graph, w, W.single(t, 1))
+            out.append(w)
+        return out
+
+    cubes = []
+    for b in verts:
+        for clique in cliques(graph).nonempty():
+            ctype = tuple(sorted(clique, key=graph.order.get))
+            corners = corner_words(b, ctype)
+            if all(w in verts for w in corners):
+                cid = ball.cube_ids.get(frozenset(verts[w] for w in corners))
+                if cid is not None:
+                    cubes.append((b, ctype, cid))
+
+    def fixed_cells(n):
+        fixed_v = {
+            w for w in verts
+            if engine.coset_key(engine.mul(n, seen[w])) == engine.coset_key(seen[w])
+        }
+        fixed_c = [
+            (b, ctype, cid) for b, ctype, cid in cubes
+            if all(w in fixed_v for w in corner_words(b, ctype))
+        ]
+        return fixed_v, fixed_c
+
+    return verts, cubes, fixed_cells
+
+
+def test_apartment_trace_matches_plain_corner_walk():
+    for model, graph, radius in [
+        (S3A3, EDGE, 2),
+        (SM2, EDGE, 3),
+        (TrivialModel(), cycle_graph("abcd"), 2),
+    ]:
+        ball = build_ball(model, graph, radius)
+        engine = ball.engine
+        verts, cubes = base_apartment_trace(ball)
+        ref_verts, ref_cubes, ref_fixed_cells = _plain_trace(ball)
+        assert list(verts.items()) == list(ref_verts.items())
+        assert cubes == ref_cubes
+        witnesses = enumerate_apartments(ball)
+        pairs = itertools.combinations_with_replacement(range(len(witnesses)), 2)
+        for i, j in pairs:
+            n = engine.mul(engine.inv(witnesses[i]), witnesses[j])
+            fixed_v, fixed_c = brute_force_fixed_cells(ball, n)
+            ref_v, ref_c = ref_fixed_cells(n)
+            assert fixed_v == ref_v and fixed_c == ref_c
+
+
 def test_automorphic_pairwise_intersections_at_most_a_vertex():
     ball = build_ball(S3A3, EDGE, 2)
     engine = ball.engine

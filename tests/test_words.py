@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 import pytest
 
@@ -10,6 +11,7 @@ from topraag.graphs import (
     edge_graph,
     edgeless_graph,
     path_graph,
+    validate_graph,
 )
 
 EDGE = edge_graph()
@@ -43,10 +45,17 @@ def test_normal_form_edge_examples():
     assert W.normal_form(free, w) == w
 
 
+def random_graph(rng):
+    verts = "abcde"[: rng.randint(1, 5)]
+    edges = [[a, b] for a, b in combinations(verts, 2) if rng.random() < 0.5]
+    return validate_graph({"vertices": list(verts), "edges": edges})
+
+
 def test_normal_form_idempotent_and_oracle():
+    # the zoo first, then random graphs with at most five vertices
     rng = random.Random(1)
-    for _ in range(500):
-        g = rng.choice(GRAPH_ZOO)
+    for i in range(2000):
+        g = rng.choice(GRAPH_ZOO) if i < 500 else random_graph(rng)
         n = rng.randint(0, 6)
         w = tuple((rng.choice(g.vertices), rng.choice((1, -1))) for _ in range(n))
         nf = W.normal_form(g, w)
