@@ -49,12 +49,6 @@ class TreeEngine(Engine):
     def identity(self):
         return TreeElement((), self.model.identity())
 
-    def from_tokens(self, tokens):
-        out = self.identity()
-        for tok in tokens:
-            out = self.mul_token(out, tok)
-        return out
-
     def mul_token(self, g, token):
         m = self.model
         if token[0] == "u":
@@ -84,29 +78,13 @@ class TreeEngine(Engine):
                 return rep, m.phi(w)
         raise AssertionError("left transversal failed to cover U")
 
-    def mul(self, g, h):
-        out = g
-        for tok in self._tokens_of(h):
-            out = self.mul_token(out, tok)
-        return out
-
-    def inv(self, g):
-        toks = self._tokens_of(g)
-        inv_toks = []
-        for tok in reversed(toks):
-            if tok[0] == "u":
-                inv_toks.append(u_token(self.model.inv(tok[1])))
-            else:
-                inv_toks.append(gen_token(tok[1], -tok[2]))
-        return self.from_tokens(inv_toks)
-
-    def _tokens_of(self, g):
+    def tokens(self, g):
         toks = []
         for gen, sign, rep in g.steps:
             toks.append(u_token(rep))
             toks.append(gen_token(gen, sign))
         toks.append(u_token(g.tail))
-        return toks
+        return tuple(toks)
 
     def key(self, g):
         m = self.model
@@ -117,28 +95,6 @@ class TreeEngine(Engine):
 
     def is_in_U(self, g):
         return not g.steps
-
-    def u_value(self, g):
-        if g.steps:
-            raise ValueError("element is not in U")
-        return g.tail
-
-    def exponent(self, g):
-        return sum(sign for _, sign, _ in g.steps)
-
-    def a_part(self, g):
-        out: W.Word = ()
-        for gen, sign, _ in g.steps:
-            out = W.multiply(self.graph, out, W.single(gen, sign))
-        return out
-
-    def n_part(self, g):
-        word = self.a_part(g)
-        toks = [gen_token(gen, -e) for gen, e in reversed(word)]
-        n = self.mul(g, self.from_tokens(toks))
-        if n.steps and self.a_part(n):
-            raise AssertionError("n_part failed to cancel the Artin part")
-        return n
 
     def coset_rep(self, g):
         # gU is determined by the step chain alone
@@ -190,14 +146,9 @@ def _britton_view(engine: Engine, elem, letter: str) -> BrittonWord:
     m = engine.model
     if engine.regime == "automorphic":
         toks = []
-        from .elements import word_of
-
-        for tok in word_of(elem):
-            if tok[0] == "u":
-                if toks and toks[-1][0] == "u":
-                    toks[-1] = u_token(m.mul(toks[-1][1], tok[1]))
-                else:
-                    toks.append(tok)
+        for tok in engine.tokens(elem):
+            if tok[0] == "u" and toks and toks[-1][0] == "u":
+                toks[-1] = u_token(m.mul(toks[-1][1], tok[1]))
             else:
                 toks.append(tok)
         return BrittonWord(letter, tuple(toks))

@@ -81,6 +81,8 @@ def cmd_verify(args) -> int:
         rng=rng,
         latitude=args.latitude,
         window=args.window,
+        vertex_cap=args.cap_vertices,
+        cube_cap=args.cap_cubes,
     )
     report["command"] = "verify"
     report["seed"] = args.seed

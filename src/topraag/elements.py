@@ -148,6 +148,12 @@ class Engine:
     hashable, sortable data and two elements are equal in the group iff their
     keys agree.  ``coset_rep``/``coset_key`` canonicalize left U-cosets, the
     vertex set of the coset cube complex.
+
+    Each engine supplies the primitives ``identity``, ``mul_token``,
+    ``tokens``, ``key``, ``is_in_U``, ``coset_rep``, ``apartment_key`` and
+    ``format``; the group operations below derive from them.  Canonical forms
+    are unique, so an engine may override a derived method with a cheaper
+    computation on its own representation and still return the same element.
     """
 
     regime = "abstract"
@@ -156,20 +162,16 @@ class Engine:
         self.model = model
         self.graph = graph
 
+    # -- primitives ----------------------------------------------------------
     def identity(self):
-        raise NotImplementedError
-
-    def from_tokens(self, tokens):
-        raise NotImplementedError
-
-    def mul(self, a, b):
-        raise NotImplementedError
-
-    def inv(self, a):
         raise NotImplementedError
 
     def mul_token(self, a, token):
         """a * token, canonical."""
+        raise NotImplementedError
+
+    def tokens(self, a) -> tuple[Token, ...]:
+        """A token word spelling a; an element of U is spelled by U tokens only."""
         raise NotImplementedError
 
     def key(self, a):
@@ -178,23 +180,8 @@ class Engine:
     def is_in_U(self, a) -> bool:
         raise NotImplementedError
 
-    def u_value(self, a):
-        raise NotImplementedError
-
-    def exponent(self, a) -> int:
-        raise NotImplementedError
-
-    def a_part(self, a) -> W.Word:
-        raise NotImplementedError
-
-    def n_part(self, a):
-        raise NotImplementedError
-
     def coset_rep(self, a):
         raise NotImplementedError
-
-    def coset_key(self, a):
-        return self.key(self.coset_rep(a))
 
     def apartment_key(self, n):
         """Canonical key of the apartment containing n * (base apartment)."""
@@ -202,6 +189,47 @@ class Engine:
 
     def format(self, a) -> str:
         raise NotImplementedError
+
+    # -- derived -------------------------------------------------------------
+    def from_tokens(self, tokens):
+        out = self.identity()
+        for tok in tokens:
+            out = self.mul_token(out, tok)
+        return out
+
+    def mul(self, a, b):
+        for tok in self.tokens(b):
+            a = self.mul_token(a, tok)
+        return a
+
+    def inv(self, a):
+        return self.from_tokens(invert_tokens(self.model, self.tokens(a)))
+
+    def u_value(self, a):
+        if not self.is_in_U(a):
+            raise ValueError("element is not in U")
+        m = self.model
+        out = m.identity()
+        for _, u in self.tokens(a):
+            out = m.mul(out, u)
+        return out
+
+    def exponent(self, a) -> int:
+        """Image under the generators |-> 1, U |-> 0 homomorphism to Z."""
+        return sum(tok[2] for tok in self.tokens(a) if tok[0] == "gen")
+
+    def a_part(self, a) -> W.Word:
+        """Image under the epimorphism onto the Artin group that kills U."""
+        letters = tuple((tok[1], tok[2]) for tok in self.tokens(a) if tok[0] == "gen")
+        return W.normal_form(self.graph, letters)
+
+    def n_part(self, a):
+        """a * a_part(a)^-1, the factor in the normal closure of U."""
+        toks = tuple(gen_token(gen, -e) for gen, e in reversed(self.a_part(a)))
+        return self.mul(a, self.from_tokens(toks))
+
+    def coset_key(self, a):
+        return self.key(self.coset_rep(a))
 
 
 class AutomorphicEngine(Engine):
@@ -224,45 +252,17 @@ class AutomorphicEngine(Engine):
     def identity(self):
         return base_sequence(self.model)
 
-    def from_tokens(self, tokens):
-        return to_normal_sequence(self.model, self.graph, tokens)
-
-    def mul(self, a, b):
-        return act_word(self.model, self.graph, word_of(a), b)
-
-    def inv(self, a):
-        return self.from_tokens(invert_tokens(self.model, word_of(a)))
-
     def mul_token(self, a, token):
         return act_word(self.model, self.graph, word_of(a), self.from_tokens((token,)))
+
+    def tokens(self, a):
+        return word_of(a)
 
     def key(self, a):
         return sequence_key(self.model, a)
 
     def is_in_U(self, a):
         return a.length == 0
-
-    def u_value(self, a):
-        if not self.is_in_U(a):
-            raise ValueError("element is not in U")
-        return a.head
-
-    def exponent(self, a):
-        return sum(W.exponent(word) for word, _ in a.tail)
-
-    def a_part(self, a):
-        out: W.Word = ()
-        for word, _ in a.tail:
-            out = W.multiply(self.graph, out, word)
-        return out
-
-    def n_part(self, a):
-        inv_word = W.invert(self.graph, self.a_part(a))
-        toks = tuple(gen_token(gen, e) for gen, e in inv_word)
-        n = self.mul(a, self.from_tokens(toks))
-        if self.a_part(n):
-            raise AssertionError("n_part failed to cancel the Artin part")
-        return n
 
     def coset_rep(self, a):
         best = None
@@ -291,6 +291,14 @@ class AutomorphicEngine(Engine):
             parts.append(m.format_u(u))
         return " ".join(parts)
 
+    # Overrides: letters act on the left of a normal sequence, so folding a
+    # word from the right keeps every intermediate sequence short.
+    def from_tokens(self, tokens):
+        return to_normal_sequence(self.model, self.graph, tokens)
+
+    def mul(self, a, b):
+        return act_word(self.model, self.graph, word_of(a), b)
+
 
 def verify_relations(model: BaseModel, graph: Graph, samples=None) -> dict:
     """Check the defining relations through whichever engine is in force.
@@ -311,8 +319,7 @@ def verify_relations(model: BaseModel, graph: Graph, samples=None) -> dict:
             samples = [model.identity()]
     o_samples = [u for u in samples if model.in_O(u)]
 
-    def elem(tokens):
-        return engine.from_tokens(tokens)
+    elem = engine.from_tokens
 
     def expect(name, lhs, rhs):
         if engine.key(lhs) != engine.key(rhs):

@@ -111,15 +111,18 @@ class SimplicialComplex:
         return {s for s in self.simplices if len(s) == 2}
 
     def is_flag(self) -> bool:
-        """True iff every pairwise-connected vertex set spans a simplex."""
-        verts = sorted(self.vertex_set(), key=repr)
-        edges = self.one_skeleton_edges()
-        for k in range(3, len(verts) + 1):
-            for combo in itertools.combinations(verts, k):
-                if all(frozenset(p) in edges for p in itertools.combinations(combo, 2)):
-                    if frozenset(combo) not in self.simplices:
-                        return False
-        return True
+        """True iff every clique of the 1-skeleton spans a simplex."""
+        verts = list(self.vertex_set())
+        label = {v: str(i) for i, v in enumerate(verts)}
+        skeleton = Graph(
+            tuple(label.values()),
+            frozenset(frozenset(label[v] for v in e) for e in self.one_skeleton_edges()),
+        )
+        return all(
+            frozenset(verts[int(i)] for i in c) in self.simplices
+            for c in cliques(skeleton).cliques
+            if c
+        )
 
 
 def validate_graph(raw) -> Graph:
@@ -130,14 +133,21 @@ def validate_graph(raw) -> Graph:
         raise ConfigError(f"graph must be a JSON object, got {type(raw).__name__}")
     if "vertices" not in raw:
         raise ConfigError("graph needs 'vertices'")
-    verts = [str(v) for v in raw["vertices"]]
+    raw_verts, raw_edges = raw["vertices"], raw.get("edges", [])
+    if not isinstance(raw_verts, (list, tuple)):
+        raise ConfigError(f"graph 'vertices' must be a list, got {raw_verts!r}")
+    if not isinstance(raw_edges, (list, tuple)):
+        raise ConfigError(f"graph 'edges' must be a list, got {raw_edges!r}")
+    verts = [str(v) for v in raw_verts]
     seen = set()
     for v in verts:
         if v in seen:
             raise DuplicateVertex(f"duplicate vertex label {v!r}")
         seen.add(v)
     edges = set()
-    for e in raw.get("edges", []):
+    for e in raw_edges:
+        if not isinstance(e, (list, tuple)) or len(e) != 2:
+            raise ConfigError(f"graph 'edges' entry {e!r} is not a pair of vertices")
         a, b = (str(x) for x in e)
         if a == b:
             raise SelfLoop(f"self-loop at {a!r}")

@@ -505,17 +505,34 @@ def model_from_config(cfg: dict) -> BaseModel:
             raise ModelError(f"{kind} model needs {key!r}")
         return cfg[key]
 
+    def need_int(key):
+        value = need(key)
+        try:
+            return int(value)
+        except (TypeError, ValueError):
+            msg = f"{kind} model field {key!r} must be an integer, got {value!r}"
+            raise ModelError(msg) from None
+
+    def need_perms(key):
+        value = need(key)
+        if not isinstance(value, list) or not all(
+            isinstance(p, list) and all(isinstance(i, int) for i in p) for p in value
+        ):
+            msg = f"{kind} model field {key!r} must be a list of integer lists, got {value!r}"
+            raise ModelError(msg)
+        return value
+
     if kind == "shift":
-        return ShiftModel(int(need("m")))
+        return ShiftModel(need_int("m"))
     if kind == "trivial":
         return TrivialModel()
     if kind == "finite":
         return FiniteModel(
-            int(need("degree")),
-            need("U_gens"),
-            need("O_gens"),
-            need("phi_images"),
-            coset_reps=cfg.get("coset_reps"),
+            need_int("degree"),
+            need_perms("U_gens"),
+            need_perms("O_gens"),
+            need_perms("phi_images"),
+            coset_reps=None if cfg.get("coset_reps") is None else need_perms("coset_reps"),
         )
     raise ModelError(f"unknown model kind {kind!r}")
 

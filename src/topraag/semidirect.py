@@ -48,12 +48,6 @@ class SemidirectEngine(Engine):
     def make(self, n: NPair, a: W.Word) -> SemidirectElement:
         return SemidirectElement(self.model.reduce_pair(n.k, n.u), W.normal_form(self.graph, a))
 
-    def from_tokens(self, tokens):
-        out = self.identity()
-        for tok in tokens:
-            out = self.mul_token(out, tok)
-        return out
-
     def mul_token(self, g, token):
         m = self.model
         if token[0] == "u":
@@ -62,35 +56,19 @@ class SemidirectEngine(Engine):
         _, gen, sign = token
         return SemidirectElement(g.n, W.multiply(self.graph, g.a, W.single(gen, sign)))
 
-    def mul(self, g, h):
-        m = self.model
-        conj = m.pair_shift(h.n, W.exponent(g.a))
-        return SemidirectElement(m.pair_mul(g.n, conj), W.multiply(self.graph, g.a, h.a))
-
-    def inv(self, g):
-        m = self.model
-        n_inv = m.pair_shift(m.pair_inv(g.n), -W.exponent(g.a))
-        return SemidirectElement(n_inv, W.invert(self.graph, g.a))
+    def tokens(self, g):
+        # (k, u) * a spelled t^-k u t^k a: every generator conjugates the
+        # normal closure by the same shift, so any one of them serves as t
+        t = self.graph.vertices[0]
+        k, u = g.n.k, g.n.u
+        toks = [gen_token(t, -1)] * k + [u_token(u)] + [gen_token(t, 1)] * k
+        return tuple(toks) + tuple(gen_token(gen, e) for gen, e in g.a)
 
     def key(self, g):
         return ((g.n.k, g.n.u), g.a)
 
     def is_in_U(self, g):
         return not g.a and g.n.k == 0
-
-    def u_value(self, g):
-        if not self.is_in_U(g):
-            raise ValueError("element is not in U")
-        return g.n.u
-
-    def exponent(self, g):
-        return W.exponent(g.a)
-
-    def a_part(self, g):
-        return g.a
-
-    def n_part(self, g):
-        return SemidirectElement(g.n, ())
 
     def coset_rep(self, g):
         # gU = g'U iff the Artin parts agree and the n-parts agree modulo
@@ -114,6 +92,26 @@ class SemidirectEngine(Engine):
         n_str = f"({self.model.format_u(g.n.u)}/{self.model.m}^{g.n.k})"
         a_str = W.format_word(g.a) or "1"
         return f"{n_str} * {a_str}"
+
+    # O(1) on the pair: overrides of the derived operations
+    def mul(self, g, h):
+        m = self.model
+        conj = m.pair_shift(h.n, W.exponent(g.a))
+        return SemidirectElement(m.pair_mul(g.n, conj), W.multiply(self.graph, g.a, h.a))
+
+    def inv(self, g):
+        m = self.model
+        n_inv = m.pair_shift(m.pair_inv(g.n), -W.exponent(g.a))
+        return SemidirectElement(n_inv, W.invert(self.graph, g.a))
+
+    def exponent(self, g):
+        return W.exponent(g.a)
+
+    def a_part(self, g):
+        return g.a
+
+    def n_part(self, g):
+        return SemidirectElement(g.n, ())
 
 
 def epsilon_latitude(model: ShiftModel, n: NPair):

@@ -117,8 +117,7 @@ def suite_normal_form(model, graph, rng, samples=300) -> dict:
     return _finish("normal-form", checks, {"samples": samples})
 
 
-def suite_stabilisers(model, graph, radius, rng) -> dict:
-    ball = build_ball(model, graph, radius)
+def suite_stabilisers(ball) -> dict:
     checks = []
     mismatches = []
     for cube in ball.cubes:
@@ -135,8 +134,7 @@ def suite_stabilisers(model, graph, radius, rng) -> dict:
     return _finish("stabilisers", checks, {"cubes": len(ball.cubes)})
 
 
-def suite_intersections(model, graph, radius, rng) -> dict:
-    ball = build_ball(model, graph, radius)
+def suite_intersections(ball) -> dict:
     engine = ball.engine
     witnesses = enumerate_apartments(ball)
     checks = []
@@ -186,8 +184,7 @@ def _intersection_matches(ball, cls, fixed_vertices, fixed_cubes) -> bool:
     return ok_v and ok_c
 
 
-def suite_nerve(model, graph, radius, rng) -> dict:
-    ball = build_ball(model, graph, radius)
+def suite_nerve(ball) -> dict:
     ng = nerve_graph(ball)
     checks = []
     if ball.engine.regime == "automorphic":
@@ -200,8 +197,7 @@ def suite_nerve(model, graph, radius, rng) -> dict:
     return _finish("nerve", checks, {"nodes": len(ng.vertices), "edges": len(ng.edges)})
 
 
-def suite_links(model, graph, radius, rng) -> dict:
-    ball = build_ball(model, graph, radius)
+def suite_links(ball) -> dict:
     rep = check_links(ball)
     pockets = detect_pockets(ball)
     checks = []
@@ -217,11 +213,12 @@ def suite_links(model, graph, radius, rng) -> dict:
     return _finish("links", checks, {"interior": len(rep["links"])})
 
 
-def suite_pockets(model, graph, radius, rng) -> dict:
-    ball = build_ball(model, graph, radius)
+def suite_pockets(ball) -> dict:
     pockets = detect_pockets(ball)
     checks = []
-    shrinking_with_squares = ball.engine.regime == "semidirect" and bool(graph.edges) and radius >= 2
+    shrinking_with_squares = (
+        ball.engine.regime == "semidirect" and bool(ball.graph.edges) and ball.radius >= 2
+    )
     if shrinking_with_squares:
         _check(checks, "at least one pocket", len(pockets) >= 1, f"{len(pockets)} found")
         base = ball.vertex_ids[ball.engine.key(ball.engine.coset_rep(ball.engine.identity()))]
@@ -291,7 +288,20 @@ def _finish(name, checks, meta) -> dict:
     }
 
 
-def run_suite(name, model=None, graph=None, radius=2, n=3, rng=None, latitude=0, window=4) -> dict:
+BALL_SUITES = {
+    "stabilisers": suite_stabilisers,
+    "intersections": suite_intersections,
+    "nerve": suite_nerve,
+    "links": suite_links,
+    "pockets": suite_pockets,
+}
+
+
+def run_suite(
+    name, model=None, graph=None, radius=2, n=3, rng=None, latitude=0, window=4,
+    *, vertex_cap, cube_cap,
+) -> dict:
+    """Run one suite; the ball suites build their ball under the given caps."""
     rng = rng or random.Random(0)
     if name == "sb":
         return suite_sb(n, rng)
@@ -303,14 +313,7 @@ def run_suite(name, model=None, graph=None, radius=2, n=3, rng=None, latitude=0,
         raise ConfigError(f"suite {name!r} needs --model")
     if name == "normal-form":
         return suite_normal_form(model, graph, rng)
-    if name == "stabilisers":
-        return suite_stabilisers(model, graph, radius, rng)
-    if name == "intersections":
-        return suite_intersections(model, graph, radius, rng)
-    if name == "nerve":
-        return suite_nerve(model, graph, radius, rng)
-    if name == "links":
-        return suite_links(model, graph, radius, rng)
-    if name == "pockets":
-        return suite_pockets(model, graph, radius, rng)
+    if name in BALL_SUITES:
+        ball = build_ball(model, graph, radius, vertex_cap=vertex_cap, cube_cap=cube_cap)
+        return BALL_SUITES[name](ball)
     raise RegimeMismatch(f"unknown suite {name!r}")

@@ -2,10 +2,11 @@
 
 A word is a tuple of letters (generator, +1/-1).  The canonical form of a
 word is the ShortLex-least element of its shuffle class after it has been
-made shuffle-reduced: we cancel every inverse pair separated only by letters
-commuting with it, then bubble adjacent commuting letters into the least
-lexicographic order until nothing moves.  Two canonical words are equal in
-the group iff they are equal as tuples.
+made shuffle-reduced: each letter in turn cancels against an earlier inverse
+separated from it only by letters commuting with it, and the reduced word is
+then rewritten greedily into the least lexicographic order of its shuffle
+class.  Two canonical words are equal in the group iff they are equal as
+tuples.
 """
 
 from __future__ import annotations
@@ -68,27 +69,24 @@ def _letter_key(g: Graph, letter: Letter):
     return (order[gen], 0 if e == 1 else 1)
 
 
-def _shuffle_reduce(g: Graph, w: list[Letter]) -> list[Letter]:
-    # Cancel (x, x^-1) pairs whenever every letter between them commutes
-    # with x; repeat until no such pair remains.
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(w)):
-            gi, ei = w[i]
-            for j in range(i + 1, len(w)):
-                gj, ej = w[j]
-                if gj == gi:
-                    if ej == -ei:
-                        del w[j]
-                        del w[i]
-                        changed = True
-                    break
-                if not g.adjacent(gi, gj):
-                    break
-            if changed:
-                break
-    return w
+def _shuffle_reduce(g: Graph, w) -> list[Letter]:
+    # One backward scan per appended letter: skip the letters commuting with
+    # it, then cancel against a matching inverse.  The scan stops at the same
+    # generator or at a non-commuting letter.  A cancelled letter commutes
+    # with every letter after it, so removing it never unblocks another pair
+    # and the output stays reduced.
+    adj = g._adj
+    out = []
+    for letter in w:
+        gen, e = letter
+        i = len(out) - 1
+        while i >= 0 and out[i][0] in adj[gen]:
+            i -= 1
+        if i >= 0 and out[i] == (gen, -e):
+            del out[i]
+        else:
+            out.append(letter)
+    return out
 
 
 def _lex_least(g: Graph, w: list[Letter]) -> list[Letter]:
@@ -125,8 +123,7 @@ def normal_form(g: Graph, w: Word) -> Word:
     if len(w) > WORD_LENGTH_CAP:
         raise WordLengthCap(f"word of length {len(w)} exceeds cap {WORD_LENGTH_CAP}")
     check_letters(g, w)
-    letters = _shuffle_reduce(g, list(w))
-    return tuple(_lex_least(g, letters))
+    return tuple(_lex_least(g, _shuffle_reduce(g, w)))
 
 
 def multiply(g: Graph, w1: Word, w2: Word) -> Word:

@@ -3,6 +3,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from topraag.cli import main
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -79,6 +81,41 @@ def test_model_missing_key_exit_2(tmp_path, capsys):
     assert capsys.readouterr().err == "config error: shift model needs 'm'\n"
 
 
+@pytest.mark.parametrize(
+    "graph",
+    [
+        {"vertices": ["s", "t"], "edges": [["s"]]},
+        {"vertices": 5},
+        {"vertices": ["s", "t"], "edges": 5},
+    ],
+    ids=["edge-not-a-pair", "vertices-not-a-list", "edges-not-a-list"],
+)
+def test_malformed_graph_field_exit_2(tmp_path, capsys, graph):
+    bad = tmp_path / "graph.json"
+    bad.write_text(json.dumps(graph))
+    code = run_cli(["build", "--graph", bad, "--model", CONFIGS / "trivial.json"])
+    assert_config_error(code, capsys)
+
+
+@pytest.mark.parametrize(
+    "model, message",
+    [
+        ({"kind": "shift", "m": "x"}, "shift model field 'm' must be an integer, got 'x'"),
+        (
+            {"kind": "finite", "degree": 3, "U_gens": 5, "O_gens": [], "phi_images": []},
+            "finite model field 'U_gens' must be a list of integer lists, got 5",
+        ),
+    ],
+    ids=["m-not-an-integer", "generators-not-a-list"],
+)
+def test_malformed_model_field_exit_2(tmp_path, capsys, model, message):
+    bad = tmp_path / "model.json"
+    bad.write_text(json.dumps(model))
+    code = run_cli(["build", "--graph", CONFIGS / "edge.json", "--model", bad])
+    assert code == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+
+
 def test_build_without_model_exit_2(capsys):
     code = run_cli(["build", "--graph", CONFIGS / "edge.json"])
     assert_config_error(code, capsys)
@@ -92,6 +129,25 @@ def test_homology_without_model_exit_2(capsys):
 def test_verify_without_model_exit_2(capsys):
     code = run_cli(["verify", "--suite", "nerve", "--graph", CONFIGS / "edge.json"])
     assert_config_error(code, capsys)
+
+
+def test_verify_honours_vertex_cap(capsys):
+    code = run_cli(
+        ["verify", "--suite", "stabilisers", "--graph", CONFIGS / "edge.json",
+         "--model", CONFIGS / "s3a3.json", "--radius", "2", "--cap-vertices", "3"]
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err == "error: vertex budget 3 exhausted at radius 1\n"
+
+
+def test_verify_honours_cube_cap(capsys):
+    code = run_cli(
+        ["verify", "--suite", "links", "--graph", CONFIGS / "edge.json",
+         "--model", CONFIGS / "shift2.json", "--radius", "2", "--cap-cubes", "5"]
+    )
+    assert code == 1
+    assert capsys.readouterr().err == "error: cube budget 5 exhausted\n"
 
 
 def test_verify_pockets_passes(capsys):

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -6,7 +7,7 @@ from topraag.errors import DuplicateVertex, LabelClash, SelfLoop, UnknownEndpoin
 from topraag.graphs import (
     SimplicialComplex,
     clique_complex,
-    cliques,  # noqa: F401  (used by the chordal-growth test)
+    cliques,
     complete_graph,
     connected_components,
     cycle_graph,
@@ -192,3 +193,62 @@ def test_graph_join():
 def test_simplicial_complex_validation():
     with pytest.raises(ValueError):
         SimplicialComplex(frozenset({frozenset({"a", "b"})}))  # missing faces
+
+
+def test_cliques_against_networkx():
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(2)
+    for _ in range(300):
+        verts = [f"v{i}" for i in range(rng.randint(1, 8))]
+        edges = [list(p) for p in itertools.combinations(verts, 2) if rng.random() < 0.5]
+        fam = cliques(validate_graph({"vertices": verts, "edges": edges})).cliques
+        nxg = nx.Graph()
+        nxg.add_nodes_from(verts)
+        nxg.add_edges_from(edges)
+        maximal = {frozenset(c) for c in nx.find_cliques(nxg)}
+        assert {c for c in fam if not any(c < d for d in fam)} == maximal
+        assert fam == {frozenset(s) for c in maximal for k in range(len(c) + 1)
+                       for s in itertools.combinations(c, k)}
+
+
+def subset_scan_is_flag(cx):
+    """Reference: every pairwise-connected vertex set spans a simplex."""
+    verts = sorted(cx.vertex_set(), key=repr)
+    edges = cx.one_skeleton_edges()
+    for k in range(3, len(verts) + 1):
+        for combo in itertools.combinations(verts, k):
+            if all(frozenset(p) in edges for p in itertools.combinations(combo, 2)):
+                if frozenset(combo) not in cx.simplices:
+                    return False
+    return True
+
+
+def test_is_flag_non_flag_examples():
+    hollow = SimplicialComplex(frozenset(
+        frozenset(s) for s in ("a", "b", "c", "ab", "bc", "ac")
+    ))
+    assert not hollow.is_flag() and not subset_scan_is_flag(hollow)
+    # boundary of the tetrahedron: every triangle, no 3-simplex
+    boundary = SimplicialComplex(frozenset(
+        frozenset(s) for k in (1, 2, 3) for s in itertools.combinations("abcd", k)
+    ))
+    assert not boundary.is_flag()
+    assert SimplicialComplex(boundary.simplices | {frozenset("abcd")}).is_flag()
+    assert SimplicialComplex(frozenset()).is_flag()
+
+
+def test_is_flag_matches_subset_scan():
+    # clique complexes with some simplices of dimension >= 2 removed, together
+    # with everything containing them; non-string vertices as in vertex links
+    rng = random.Random(4)
+    flags = set()
+    for _ in range(300):
+        verts = list(range(rng.randint(1, 7)))
+        edges = [[a, b] for a, b in itertools.combinations(verts, 2) if rng.random() < 0.6]
+        g = validate_graph({"vertices": verts, "edges": edges})
+        fam = {frozenset(int(v) for v in c) for c in cliques(g).cliques if c}
+        dropped = [c for c in fam if len(c) >= 3 and rng.random() < 0.2]
+        cx = SimplicialComplex(frozenset(c for c in fam if not any(d <= c for d in dropped)))
+        assert cx.is_flag() == subset_scan_is_flag(cx) == (not dropped)
+        flags.add(cx.is_flag())
+    assert flags == {True, False}

@@ -45,8 +45,8 @@ def test_normal_form_edge_examples():
     assert W.normal_form(free, w) == w
 
 
-def random_graph(rng):
-    verts = "abcde"[: rng.randint(1, 5)]
+def random_graph(rng, max_vertices=5):
+    verts = "abcdef"[: rng.randint(1, max_vertices)]
     edges = [[a, b] for a, b in combinations(verts, 2) if rng.random() < 0.5]
     return validate_graph({"vertices": list(verts), "edges": edges})
 
@@ -61,6 +61,43 @@ def test_normal_form_idempotent_and_oracle():
         nf = W.normal_form(g, w)
         assert W.normal_form(g, nf) == nf
         assert nf == W.normal_form_bruteforce(g, w)
+
+
+def restart_shuffle_reduce(g, w):
+    """Reference reducer: cancel the first pair (x, x^-1) separated only by
+    letters commuting with x, then rescan from the start."""
+    w = list(w)
+    changed = True
+    while changed:
+        changed = False
+        for i in range(len(w)):
+            gi, ei = w[i]
+            for j in range(i + 1, len(w)):
+                gj, ej = w[j]
+                if gj == gi:
+                    if ej == -ei:
+                        del w[j]
+                        del w[i]
+                        changed = True
+                    break
+                if not g.adjacent(gi, gj):
+                    break
+            if changed:
+                break
+    return w
+
+
+def test_one_pass_shuffle_reduce_matches_restart_loop():
+    rng = random.Random(5)
+    for _ in range(3000):
+        g = random_graph(rng, max_vertices=6)
+        n = rng.randint(0, 80)
+        w = tuple((rng.choice(g.vertices), rng.choice((1, -1))) for _ in range(n))
+        fast = W._shuffle_reduce(g, w)
+        ref = restart_shuffle_reduce(g, w)
+        assert restart_shuffle_reduce(g, fast) == fast, w
+        assert len(fast) == len(ref), w
+        assert W._lex_least(g, fast) == W._lex_least(g, ref), w
 
 
 def test_normal_form_exhaustive_short_words():
