@@ -63,20 +63,8 @@ class TreeEngine(Engine):
                 conj = m.phi_inv(tail) if sign == 1 else m.phi(tail)
                 prev_gen, prev_sign, prev_rep = steps[-1]
                 return TreeElement(steps[:-1], m.mul(prev_rep, conj))
-        rep, new_tail = self._decompose(tail, sign)
+        rep, new_tail = m.left_split(tail, sign)
         return TreeElement(steps + ((gen, sign, rep),), new_tail)
-
-    def _decompose(self, u, sign):
-        # u * t^sign = rep * t^sign * conj with rep a left coset
-        # representative of U/phi(O) (sign +1) or U/O (sign -1)
-        m = self.model
-        for rep in m.left_transversal(1 if sign == 1 else 0):
-            w = m.mul(m.inv(rep), u)
-            if sign == 1 and m.in_phiO(w):
-                return rep, m.phi_inv(w)
-            if sign == -1 and m.in_O(w):
-                return rep, m.phi(w)
-        raise AssertionError("left transversal failed to cover U")
 
     def tokens(self, g):
         toks = []
@@ -96,9 +84,9 @@ class TreeEngine(Engine):
     def is_in_U(self, g):
         return not g.steps
 
-    def coset_rep(self, g):
+    def coset_split(self, g):
         # gU is determined by the step chain alone
-        return TreeElement(g.steps, self.model.identity())
+        return TreeElement(g.steps, self.model.identity()), g.tail
 
     def apartment_key(self, n):
         raise RegimeMismatch("apartment bookkeeping is not wired for tree engines")
@@ -143,35 +131,20 @@ def hnn_retract(model: BaseModel, graph: Graph, tokens, letter: str = "t") -> Br
 
 
 def _britton_view(engine: Engine, elem, letter: str) -> BrittonWord:
+    """The engine's spelling of elem with adjacent U-letters merged, trivial
+    ones dropped and adjacent t^e t^-e cancelled; the identity is one U-letter."""
     m = engine.model
-    if engine.regime == "automorphic":
-        toks = []
-        for tok in engine.tokens(elem):
-            if tok[0] == "u" and toks and toks[-1][0] == "u":
-                toks[-1] = u_token(m.mul(toks[-1][1], tok[1]))
-            else:
-                toks.append(tok)
-        return BrittonWord(letter, tuple(toks))
-    if engine.regime == "semidirect":
-        # n * t^e with n = (k, u): the pinch-free spelling is
-        # t^-k u t^(k+e)
-        k, u = elem.n.k, elem.n.u
-        e = W.exponent(elem.a)
-        toks = []
-        toks.extend([gen_token(letter, -1)] * k)
-        if u != m.identity():
-            toks.append(u_token(u))
-        toks.extend([gen_token(letter, 1)] * (k + e) if k + e >= 0 else [gen_token(letter, -1)] * -(k + e))
-        return BrittonWord(letter, tuple(toks))
-    # tree engine
     toks = []
-    for gen, sign, rep in elem.steps:
-        if rep != m.identity():
-            toks.append(u_token(rep))
-        toks.append(gen_token(gen, sign))
-    if elem.tail != m.identity() or not toks:
-        toks.append(u_token(elem.tail))
-    return BrittonWord(letter, tuple(toks))
+    for tok in engine.tokens(elem):
+        if tok[0] == "u" and toks and toks[-1][0] == "u":
+            tok = u_token(m.mul(toks.pop()[1], tok[1]))
+        if tok[0] == "u" and tok[1] == m.identity():
+            continue
+        if tok[0] == "gen" and toks and toks[-1] == gen_token(tok[1], -tok[2]):
+            toks.pop()
+        else:
+            toks.append(tok)
+    return BrittonWord(letter, tuple(toks) or (u_token(m.identity()),))
 
 
 def britton_is_pinch_free(model: BaseModel, bw: BrittonWord) -> bool:

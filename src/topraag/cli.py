@@ -41,6 +41,13 @@ def _require(args, *options):
         raise ConfigError(f"{args.command} needs {' and '.join(missing)}")
 
 
+def _require_non_negative(args):
+    for name in ("radius", "n", "cap_vertices", "cap_cubes"):
+        value = getattr(args, name, None)
+        if value is not None and value < 0:
+            raise ConfigError(f"--{name.replace('_', '-')} must be >= 0, got {value}")
+
+
 def cmd_build(args) -> int:
     _require(args, "graph", "model")
     graph = graph_from_json(args.graph)
@@ -170,6 +177,7 @@ def main(argv=None) -> int:
     parser = make_parser()
     args = parser.parse_args(argv)
     try:
+        _require_non_negative(args)
         return args.func(args)
     except (ConfigError, FileNotFoundError, json.JSONDecodeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -77,6 +77,9 @@ class CubeBall:
         self.cubes: list[Cube] = []
         self.cube_ids: dict[frozenset, int] = {}
         self.adjacency: dict[int, set[int]] = {}
+        # coset table: table[v][(u, t, sign)] = (w, x) when r_v u t^sign = r_w x
+        # with x in U, None when that coset lies outside the ball
+        self.table: list[dict] = []
         self.apartment_trace = None      # (words -> ids, cubes), built on demand
 
     # -- construction helpers ----------------------------------------------
@@ -88,6 +91,7 @@ class CubeBall:
         self.dist.append(d)
         self.exponent.append(self.engine.exponent(rep))
         self.adjacency[vid] = set()
+        self.table.append({})
         return vid
 
     def vertex_id_of(self, elem) -> int | None:
@@ -156,61 +160,47 @@ def build_ball(
     vertex_cap: int = DEFAULT_VERTEX_CAP,
     cube_cap: int = DEFAULT_CUBE_CAP,
 ) -> CubeBall:
-    """BFS the coset 1-skeleton to the given radius, then attach every cube
-    all of whose corners landed inside."""
+    """BFS the coset 1-skeleton to the given radius, recording every edge in
+    the coset table, then attach every cube all of whose corners landed
+    inside."""
     engine = engine_for(model, graph)
     ball = CubeBall(model, graph, radius, engine)
-    base = engine.coset_rep(engine.identity())
-    ball._add_vertex(base, 0)
-    frontier = [0]
-    for d in range(radius):
-        nxt = []
-        for vid in frontier:
-            rep = ball.vertex_reps[vid]
-            for t in graph.vertices:
-                for sign in (1, -1):
-                    for u in model.left_transversal(1 if sign == 1 else 0):
-                        nb = engine.mul_token(rep, u_token(u))
-                        nb = engine.mul_token(nb, gen_token(t, sign))
-                        nb = engine.coset_rep(nb)
-                        key = engine.key(nb)
-                        wid = ball.vertex_ids.get(key)
-                        if wid is None:
-                            if ball.n_vertices >= vertex_cap:
-                                raise ResourceCap(
-                                    f"vertex budget {vertex_cap} exhausted at radius {d + 1}"
-                                )
-                            wid = ball._add_vertex(nb, d + 1)
-                            nxt.append(wid)
-        frontier = nxt
+    ball._add_vertex(engine.coset_rep(engine.identity()), 0)
+    letters = [(u, t, sign) for t in graph.vertices for sign in (1, -1)
+               for u in model.left_transversal(1 if sign == 1 else 0)]
+    # vertex_reps grows while it is walked: the walk is the BFS
+    for vid, rep in enumerate(ball.vertex_reps):
+        d = ball.dist[vid]
+        for u, t, sign in letters:
+            nb, x = engine.coset_split(
+                engine.mul_token(engine.mul_token(rep, u_token(u)), gen_token(t, sign))
+            )
+            wid = ball.vertex_ids.get(engine.key(nb))
+            if wid is None and d < radius:
+                if ball.n_vertices >= vertex_cap:
+                    raise ResourceCap(f"vertex budget {vertex_cap} exhausted at radius {d + 1}")
+                wid = ball._add_vertex(nb, d + 1)
+            ball.table[vid][u, t, sign] = None if wid is None else (wid, x)
+            if wid is not None:
+                ball.adjacency[vid].add(wid)
+                ball.adjacency[wid].add(vid)
     _attach_cubes(ball, cube_cap)
-    # the 1-skeleton comes from the attached 1-cubes: BFS expansion alone
-    # would miss edges joining two boundary vertices
-    for c in ball.cubes:
-        if c.dim == 1:
-            a, b = c.corners
-            ball.adjacency[a].add(b)
-            ball.adjacency[b].add(a)
     return ball
 
 
 def _attach_cubes(ball: CubeBall, cube_cap: int):
-    engine = ball.engine
     model = ball.model
-    fam = cliques(ball.graph)
     # vertices are the 0-cubes
     for vid in range(ball.n_vertices):
         cube = Cube(0, (), (vid,), frozenset((vid,)), vid, ball.vertex_reps[vid])
         ball.cube_ids[cube.key] = len(ball.cubes)
         ball.cubes.append(cube)
-    for nonempty in fam.nonempty():
+    for nonempty in cliques(ball.graph).nonempty():
         ctype = tuple(sorted(nonempty, key=ball.graph.order.get))
         d = len(ctype)
         for vid in range(ball.n_vertices):
-            rep = ball.vertex_reps[vid]
             for c in model.left_transversal(d):
-                g = engine.mul_token(rep, u_token(c))
-                corners = _cube_corners(ball, g, ctype)
+                corners = _cube_corners(ball, vid, c, ctype)
                 if corners is None:
                     continue
                 key = frozenset(corners)
@@ -221,28 +211,34 @@ def _attach_cubes(ball: CubeBall, cube_cap: int):
                     continue
                 if len(ball.cubes) >= cube_cap:
                     raise ResourceCap(f"cube budget {cube_cap} exhausted")
-                cube = Cube(d, ctype, corners, key, corners[0], g)
+                g = ball.engine.mul_token(ball.vertex_reps[vid], u_token(c))
                 ball.cube_ids[key] = len(ball.cubes)
-                ball.cubes.append(cube)
+                ball.cubes.append(Cube(d, ctype, corners, key, corners[0], g))
 
 
-def _cube_corners(ball: CubeBall, g, ctype):
-    """Corner vertex ids of gQ_T indexed by subset bitmask, or None if some
-    corner is outside the ball."""
-    engine = ball.engine
-    corners = []
-    for mask in range(1 << len(ctype)):
-        x = g
-        for i, t in enumerate(ctype):
-            if (mask >> i) & 1:
-                x = engine.mul_token(x, gen_token(t, 1))
-        vid = ball.vertex_ids.get(engine.coset_key(x))
-        if vid is None:
-            return None
-        corners.append(vid)
+def _cube_corners(ball: CubeBall, vid, c, ctype):
+    """Corner vertex ids of gQ_T, g = r_vid c, by subset bitmask, or None if
+    some corner is outside the ball: the corner of a mask is the corner of the
+    mask without its highest bit times that letter, walked in the coset table."""
+    states = [(vid, c)]
+    for t in ctype:
+        for k in range(len(states)):
+            state = _table_step(ball, *states[k], t)
+            if state is None:
+                return None
+            states.append(state)
+    corners = tuple(w for w, _ in states)
     if len(set(corners)) != len(corners):
         raise AssertionError("cube corners collapsed; engine inconsistency")
-    return tuple(corners)
+    return corners
+
+
+def _table_step(ball: CubeBall, w, y, t):
+    """The state (w', y') with r_w y t = r_w' y', or None outside the ball:
+    y t = rep t conj, and the table entry of (rep, t) is (w', x)."""
+    rep, conj = ball.model.left_split(y, 1)
+    entry = ball.table[w][rep, t, 1]
+    return entry and (entry[0], ball.model.mul(entry[1], conj))
 
 
 # -- stabilisers -------------------------------------------------------------

@@ -146,11 +146,12 @@ class Engine:
 
     Elements are opaque canonical values; ``key`` serializes them into
     hashable, sortable data and two elements are equal in the group iff their
-    keys agree.  ``coset_rep``/``coset_key`` canonicalize left U-cosets, the
-    vertex set of the coset cube complex.
+    keys agree.  ``coset_split`` splits an element of the left U-coset gU,
+    the vertex set of the coset cube complex, into the coset's canonical
+    representative and a U-remainder.
 
     Each engine supplies the primitives ``identity``, ``mul_token``,
-    ``tokens``, ``key``, ``is_in_U``, ``coset_rep``, ``apartment_key`` and
+    ``tokens``, ``key``, ``is_in_U``, ``coset_split``, ``apartment_key`` and
     ``format``; the group operations below derive from them.  Canonical forms
     are unique, so an engine may override a derived method with a cheaper
     computation on its own representation and still return the same element.
@@ -180,7 +181,8 @@ class Engine:
     def is_in_U(self, a) -> bool:
         raise NotImplementedError
 
-    def coset_rep(self, a):
+    def coset_split(self, a):
+        """(rep, u) with a = rep * u, u in U and rep the same for all of aU."""
         raise NotImplementedError
 
     def apartment_key(self, n):
@@ -228,6 +230,9 @@ class Engine:
         toks = tuple(gen_token(gen, -e) for gen, e in reversed(self.a_part(a)))
         return self.mul(a, self.from_tokens(toks))
 
+    def coset_rep(self, a):
+        return self.coset_split(a)[0]
+
     def coset_key(self, a):
         return self.key(self.coset_rep(a))
 
@@ -264,14 +269,15 @@ class AutomorphicEngine(Engine):
     def is_in_U(self, a):
         return a.length == 0
 
-    def coset_rep(self, a):
+    def coset_split(self, a):
+        # the least key over aU; a = (a u) * u^-1
         best = None
         for u in self._U:
             cand = self.mul(a, base_sequence(self.model, u))
             k = self.key(cand)
             if best is None or k < best[0]:
-                best = (k, cand)
-        return best[1]
+                best = (k, cand, u)
+        return best[1], self.model.inv(best[2])
 
     def apartment_key(self, n):
         # apartments n*Sigma0 = n'*Sigma0 iff n^-1 n' lies in the pointwise

@@ -138,9 +138,10 @@ def validate_graph(raw) -> Graph:
         raise ConfigError(f"graph 'vertices' must be a list, got {raw_verts!r}")
     if not isinstance(raw_edges, (list, tuple)):
         raise ConfigError(f"graph 'edges' must be a list, got {raw_edges!r}")
-    verts = [str(v) for v in raw_verts]
     seen = set()
-    for v in verts:
+    for v in raw_verts:
+        if not isinstance(v, str):
+            raise ConfigError(f"graph vertex {v!r} is not a string")
         if v in seen:
             raise DuplicateVertex(f"duplicate vertex label {v!r}")
         seen.add(v)
@@ -148,13 +149,16 @@ def validate_graph(raw) -> Graph:
     for e in raw_edges:
         if not isinstance(e, (list, tuple)) or len(e) != 2:
             raise ConfigError(f"graph 'edges' entry {e!r} is not a pair of vertices")
-        a, b = (str(x) for x in e)
+        for x in e:
+            if not isinstance(x, str):
+                raise ConfigError(f"graph edge {e!r} has endpoint {x!r}, not a string")
+        a, b = e
         if a == b:
             raise SelfLoop(f"self-loop at {a!r}")
         if a not in seen or b not in seen:
             raise UnknownEndpoint(f"edge {e!r} mentions an unknown vertex")
         edges.add(frozenset((a, b)))
-    return Graph(tuple(verts), frozenset(edges))
+    return Graph(tuple(raw_verts), frozenset(edges))
 
 
 def graph_from_json(path) -> Graph:

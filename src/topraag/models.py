@@ -103,6 +103,17 @@ class BaseModel:
         """Representatives of the left cosets U / phi^k(O); k = 0 gives U/O."""
         raise NotImplementedError
 
+    def left_split(self, u, sign):
+        """(rep, conj) with u * t^sign = rep * t^sign * conj for a generator t
+        and rep a representative of U/phi(O) (sign +1) or U/O (sign -1)."""
+        for rep in self.left_transversal(1 if sign == 1 else 0):
+            w = self.mul(self.inv(rep), u)
+            if sign == 1 and self.in_phiO(w):
+                return rep, self.phi_inv(w)
+            if sign == -1 and self.in_O(w):
+                return rep, self.phi(w)
+        raise AssertionError("left transversal failed to cover U")
+
     def index_O(self):
         raise NotImplementedError
 

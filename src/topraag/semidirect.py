@@ -70,11 +70,14 @@ class SemidirectEngine(Engine):
     def is_in_U(self, g):
         return not g.a and g.n.k == 0
 
-    def coset_rep(self, g):
+    def coset_split(self, g):
         # gU = g'U iff the Artin parts agree and the n-parts agree modulo
-        # s^e U s^-e with e the common exponent
+        # s^e U s^-e with e the common exponent; g = rep * u with
+        # a u a^-1 = n - n'
+        m = self.model
         e = W.exponent(g.a)
-        return SemidirectElement(self.model.pair_mod(g.n, e), g.a)
+        rep = m.pair_mod(g.n, e)
+        return SemidirectElement(rep, g.a), m.pair_shift(m.pair_mul(g.n, m.pair_inv(rep)), -e).u
 
     def apartment_key(self, n):
         # the pointwise stabiliser of the base apartment is trivial here

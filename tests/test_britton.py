@@ -59,6 +59,34 @@ def test_retract_outputs_pinch_free():
             assert britton_is_pinch_free(model, bw)
 
 
+def test_retract_spells_the_retracted_element():
+    # the pinch-free spelling read from each engine's tokens is the element
+    general = FiniteModel(
+        3, S3A3.u_gens, [perm_from_cycles(3, [[0, 1]])], [perm_from_cycles(3, [[0, 2]])]
+    )
+    cases = [
+        (S3A3, EDGE), (TrivialModel(), EDGE), (SM2, EDGE), (ShiftModel(3), EDGE),
+        (general, edgeless_graph("st")),
+    ]
+    rng = random.Random(6)
+    for model, graph in cases:
+        if hasattr(model, "U"):
+            us = sorted(model.U)
+        else:
+            us = list(range(-6, 7)) if model.kind == "shift" else [model.identity()]
+        for _ in range(400):
+            toks = []
+            for _ in range(rng.randint(0, 8)):
+                if rng.random() < 0.4:
+                    toks.append(u_token(rng.choice(us)))
+                else:
+                    toks.append(gen_token(rng.choice(graph.vertices), rng.choice((1, -1))))
+            bw = hnn_retract(model, graph, toks)
+            eng, elem = retract_elem(model, toks)
+            assert eng.from_tokens(bw.tokens) == elem
+            assert britton_is_pinch_free(model, bw)
+
+
 def test_retract_is_homomorphism():
     rng = random.Random(1)
     eng = engine_for(S3A3, POINT)

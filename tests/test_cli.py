@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -95,6 +96,43 @@ def test_malformed_graph_field_exit_2(tmp_path, capsys, graph):
     bad.write_text(json.dumps(graph))
     code = run_cli(["build", "--graph", bad, "--model", CONFIGS / "trivial.json"])
     assert_config_error(code, capsys)
+
+
+@pytest.mark.parametrize(
+    "graph, message",
+    [
+        ({"vertices": [["s"], "t", None, 3]}, "graph vertex ['s'] is not a string"),
+        (
+            {"vertices": ["s", "t"], "edges": [["s", 3]]},
+            "graph edge ['s', 3] has endpoint 3, not a string",
+        ),
+    ],
+    ids=["vertex", "edge-endpoint"],
+)
+def test_graph_label_not_a_string_exit_2(tmp_path, capsys, graph, message):
+    bad = tmp_path / "graph.json"
+    bad.write_text(json.dumps(graph))
+    code = run_cli(["build", "--graph", bad, "--model", CONFIGS / "trivial.json"])
+    assert code == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "args, option",
+    [
+        (["build", "--radius", "-1"], "--radius"),
+        (["homology", "--radius", "-1"], "--radius"),
+        (["verify", "--suite", "nerve", "--radius", "-1"], "--radius"),
+        (["verify", "--suite", "sb", "--n", "-1"], "--n"),
+        (["build", "--cap-vertices", "-1"], "--cap-vertices"),
+        (["build", "--cap-cubes", "-1"], "--cap-cubes"),
+    ],
+    ids=["build-radius", "homology-radius", "verify-radius", "n", "cap-vertices", "cap-cubes"],
+)
+def test_negative_number_exit_2(capsys, args, option):
+    code = run_cli(args + ["--graph", CONFIGS / "edge.json", "--model", CONFIGS / "trivial.json"])
+    assert code == 2
+    assert capsys.readouterr().err == f"config error: {option} must be >= 0, got -1\n"
 
 
 @pytest.mark.parametrize(
@@ -206,11 +244,15 @@ def test_deterministic_reports(tmp_path):
 
 
 def test_module_invocation():
+    # the child finds the package in a bare checkout as pytest itself does
+    src = str(CONFIGS.parent / "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [sys.executable, "-m", "topraag.cli", "--version"],
         capture_output=True,
         text=True,
         cwd=str(CONFIGS.parent),
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert "topraag" in proc.stdout

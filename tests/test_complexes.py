@@ -10,6 +10,7 @@ from topraag import words as W
 from topraag.errors import EmptyWindow, InfiniteStabiliser, NoInteriorVertices, ResourceCap
 from topraag.graphs import (
     cliques,
+    path_graph,
     complete_graph,
     cycle_graph,
     edge_graph,
@@ -20,6 +21,8 @@ from topraag.graphs import (
 from topraag.models import FiniteModel, ShiftModel, TrivialModel, perm_from_cycles, s3_a3_model
 from topraag.elements import engine_for, gen_token, u_token
 from topraag.complexes import (
+    Cube,
+    CubeBall,
     apartment_of_vertex,
     base_apartment_trace,
     brute_force_fixed_cells,
@@ -37,6 +40,7 @@ from topraag.complexes import (
     stabiliser_formula_set,
     valley_cells,
     vertex_link,
+    _table_step,
 )
 
 EDGE = edge_graph()
@@ -308,6 +312,105 @@ def test_apartment_trace_matches_plain_corner_walk():
             fixed_v, fixed_c = brute_force_fixed_cells(ball, n)
             ref_v, ref_c = ref_fixed_cells(n)
             assert fixed_v == ref_v and fixed_c == ref_c
+
+
+def _engine_walk_ball(model, graph, radius):
+    """The ball as built before the coset table: a BFS that keeps no edges,
+    every cube corner multiplied out through the engine and looked up by its
+    coset key, and the 1-skeleton read back from the 1-cubes."""
+    engine = engine_for(model, graph)
+    ball = CubeBall(model, graph, radius, engine)
+    ball._add_vertex(engine.coset_rep(engine.identity()), 0)
+    frontier = [0]
+    for d in range(radius):
+        nxt = []
+        for vid in frontier:
+            for t in graph.vertices:
+                for sign in (1, -1):
+                    for u in model.left_transversal(1 if sign == 1 else 0):
+                        nb = engine.mul_token(ball.vertex_reps[vid], u_token(u))
+                        nb = engine.coset_rep(engine.mul_token(nb, gen_token(t, sign)))
+                        if engine.key(nb) not in ball.vertex_ids:
+                            nxt.append(ball._add_vertex(nb, d + 1))
+        frontier = nxt
+    for vid in range(ball.n_vertices):
+        ball.cube_ids[frozenset((vid,))] = len(ball.cubes)
+        ball.cubes.append(Cube(0, (), (vid,), frozenset((vid,)), vid, ball.vertex_reps[vid]))
+    for clique in cliques(graph).nonempty():
+        ctype = tuple(sorted(clique, key=graph.order.get))
+        for vid in range(ball.n_vertices):
+            for c in model.left_transversal(len(ctype)):
+                g = engine.mul_token(ball.vertex_reps[vid], u_token(c))
+                corners = []
+                for mask in range(1 << len(ctype)):
+                    x = g
+                    for i, t in enumerate(ctype):
+                        if (mask >> i) & 1:
+                            x = engine.mul_token(x, gen_token(t, 1))
+                    corners.append(ball.vertex_id_of(x))
+                key = frozenset(corners)
+                if None in corners or key in ball.cube_ids:
+                    continue
+                assert len(key) == len(corners)
+                ball.cube_ids[key] = len(ball.cubes)
+                ball.cubes.append(Cube(len(ctype), ctype, tuple(corners), key, corners[0], g))
+    for c in ball.cubes_of_dim(1):
+        a, b = c.corners
+        ball.adjacency[a].add(b)
+        ball.adjacency[b].add(a)
+    return ball
+
+
+# phi = inversion on O = A3: automorphic, but phi is not the identity on O
+INVERSION = FiniteModel(
+    3, S3A3.u_gens, [perm_from_cycles(3, [[0, 1, 2]])], [perm_from_cycles(3, [[0, 2, 1]])]
+)
+# phi(O) != O: only the tree engine applies
+GENERAL = FiniteModel(
+    3, S3A3.u_gens, [perm_from_cycles(3, [[0, 1]])], [perm_from_cycles(3, [[0, 2]])]
+)
+
+
+@pytest.mark.parametrize(
+    "model, graph, radius",
+    [
+        (S3A3, EDGE, 3),
+        (INVERSION, complete_graph("abc"), 2),
+        (TrivialModel(), cycle_graph("abcd"), 3),
+        (SM2, EDGE, 4),
+        (ShiftModel(3), path_graph("pqr"), 2),
+        (GENERAL, edgeless_graph("st"), 3),
+    ],
+    ids=["s3a3-edge", "inversion-k3", "trivial-c4", "shift2-edge", "shift3-path3", "general-st"],
+)
+def test_coset_table_matches_engine_corner_walk(model, graph, radius):
+    ball = build_ball(model, graph, radius)
+    ref = _engine_walk_ball(model, graph, radius)
+    assert ball.to_json() == ref.to_json()
+    assert ball.adjacency == ref.adjacency
+    key = ball.engine.key
+    assert [key(c.gelem) for c in ball.cubes] == [key(c.gelem) for c in ref.cubes]
+    # every table entry r_v u t^sign = r_w x, and every walk step
+    # r_w y t = r_w' y' from any remainder y, holds in the group
+    engine = ball.engine
+
+    def holds(v, u, t, sign, entry):
+        g = engine.mul_token(ball.vertex_reps[v], u_token(u))
+        g = engine.mul_token(g, gen_token(t, sign))
+        if entry is None:
+            return ball.vertex_id_of(g) is None
+        return g == engine.mul_token(ball.vertex_reps[entry[0]], u_token(entry[1]))
+
+    for v, row in enumerate(ball.table):
+        assert all(holds(v, *key, entry) for key, entry in row.items())
+    if hasattr(model, "U"):
+        ys = sorted(model.U)
+    else:
+        ys = list(range(-6, 7)) if model.kind == "shift" else [model.identity()]
+    for v in range(ball.n_vertices):
+        for y in ys:
+            for t in graph.vertices:
+                assert holds(v, y, t, 1, _table_step(ball, v, y, t))
 
 
 def test_automorphic_pairwise_intersections_at_most_a_vertex():

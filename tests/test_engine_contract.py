@@ -1,7 +1,10 @@
 """The element contract of ``Engine``: every engine's token spelling round-trips
-through ``from_tokens``, and every derived operation an engine overrides
-agrees with the base derivation from the primitives."""
+through ``from_tokens``, every derived operation an engine overrides agrees
+with the base derivation from the primitives, and ``coset_split`` splits an
+element into its coset's representative and a U-remainder.  Also the
+model's ``left_split``, which moves a U-element past a generator."""
 
+import inspect
 import random
 
 import pytest
@@ -16,19 +19,32 @@ S3A3 = s3_a3_model()
 GENERAL = FiniteModel(
     3, S3A3.u_gens, [perm_from_cycles(3, [[0, 1]])], [perm_from_cycles(3, [[0, 2]])]
 )
+# phi = inversion on O = A3: automorphic, but phi is not the identity on O
+INVERSION = FiniteModel(
+    3, S3A3.u_gens, [perm_from_cycles(3, [[0, 1, 2]])], [perm_from_cycles(3, [[0, 2, 1]])]
+)
 ST = edgeless_graph("st")
 
 CASES = [
     ("automorphic", S3A3, edge_graph()),
     ("automorphic", TrivialModel(), cycle_graph("abcd")),
+    ("automorphic", INVERSION, edge_graph()),
     ("semidirect", ShiftModel(2), edge_graph()),
     ("semidirect", ShiftModel(3), path_graph("pqr")),
     ("tree", ShiftModel(2), ST),
     ("tree", GENERAL, ST),
 ]
-IDS = ["s3a3-edge", "trivial-c4", "shift2-edge", "shift3-path3", "shift2-st", "general-st"]
+IDS = [
+    "s3a3-edge", "trivial-c4", "inversion-edge", "shift2-edge", "shift3-path3", "shift2-st",
+    "general-st",
+]
 
-DERIVED = ("from_tokens", "mul", "inv", "u_value", "exponent", "a_part", "n_part")
+PRIMITIVES = (
+    "identity", "mul_token", "tokens", "key", "is_in_U", "coset_split", "apartment_key", "format"
+)
+DERIVED = (
+    "from_tokens", "mul", "inv", "u_value", "exponent", "a_part", "n_part", "coset_rep", "coset_key"
+)
 
 
 def u_samples(model):
@@ -79,6 +95,11 @@ def test_engine_contract(regime, model, graph):
         assert eng.a_part(n) == ()
         artin = eng.from_tokens(tuple(gen_token(gen, e) for gen, e in eng.a_part(a)))
         assert eng.mul(n, artin) == a
+        # a = rep * u, rep is its own representative, and all of aU shares it
+        rep, u = eng.coset_split(a)
+        assert eng.mul(rep, eng.from_tokens((u_token(u),))) == a
+        assert eng.coset_split(rep)[1] == model.identity()
+        assert eng.coset_rep(eng.mul_token(a, u_token(rng.choice(u_samples(model))))) == rep
     for u in u_samples(model):
         assert eng.u_value(eng.from_tokens((u_token(u),))) == u
     with pytest.raises(ValueError):
@@ -92,3 +113,30 @@ def test_engines_keep_only_cheaper_overrides():
         "semidirect": ["mul", "inv", "exponent", "a_part", "n_part"],
         "tree": [],
     }
+
+
+def test_engine_raises_only_for_primitives():
+    raising = [
+        name for name, fn in vars(Engine).items()
+        if inspect.isfunction(fn) and "raise NotImplementedError" in inspect.getsource(fn)
+    ]
+    assert raising == list(PRIMITIVES)
+
+
+@pytest.mark.parametrize(
+    "model",
+    [S3A3, INVERSION, GENERAL, ShiftModel(2), ShiftModel(3)],
+    ids=["s3a3", "inversion", "general", "shift2", "shift3"],
+)
+def test_left_split(model):
+    # u t = rep t conj, i.e. u = rep phi(conj), for sign +1;
+    # u t^-1 = rep t^-1 conj, i.e. u = rep u' with phi(u') = conj, for sign -1
+    for u in u_samples(model):
+        for sign in (1, -1):
+            rep, conj = model.left_split(u, sign)
+            assert rep in model.left_transversal(1 if sign == 1 else 0)
+            if sign == 1:
+                assert model.mul(rep, model.phi(conj)) == u
+            else:
+                u_prime = model.mul(model.inv(rep), u)
+                assert model.in_O(u_prime) and model.phi(u_prime) == conj

@@ -243,7 +243,7 @@ def test_is_flag_matches_subset_scan():
     rng = random.Random(4)
     flags = set()
     for _ in range(300):
-        verts = list(range(rng.randint(1, 7)))
+        verts = [str(i) for i in range(rng.randint(1, 7))]
         edges = [[a, b] for a, b in itertools.combinations(verts, 2) if rng.random() < 0.6]
         g = validate_graph({"vertices": verts, "edges": edges})
         fam = {frozenset(int(v) for v in c) for c in cliques(g).cliques if c}
