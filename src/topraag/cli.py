@@ -42,7 +42,7 @@ def _require(args, *options):
 
 
 def _require_non_negative(args):
-    for name in ("radius", "n", "cap_vertices", "cap_cubes"):
+    for name in ("radius", "n", "window", "cap_vertices", "cap_cubes"):
         value = getattr(args, name, None)
         if value is not None and value < 0:
             raise ConfigError(f"--{name.replace('_', '-')} must be >= 0, got {value}")
@@ -100,7 +100,10 @@ def cmd_verify(args) -> int:
 def cmd_homology(args) -> int:
     if args.valley is not None:
         _require(args, "graph")
-        report = valley_homology_report(graph_from_json(args.graph), args.valley, args.window)
+        report = valley_homology_report(
+            graph_from_json(args.graph), args.valley, args.window,
+            vertex_cap=args.cap_vertices, cube_cap=args.cap_cubes,
+        )
         report["command"] = "homology"
         _emit(report, args.out)
         return 0

@@ -404,25 +404,30 @@ def brute_force_fixed_cells(ball: CubeBall, n):
 
 # -- valleys -------------------------------------------------------------------
 
-def valley_cells(graph: Graph, latitude: int, e_range, word_radius: int):
+def valley_cells(
+    graph: Graph, latitude: int, e_range, word_radius: int,
+    vertex_cap: int = DEFAULT_VERTEX_CAP, cube_cap: int = DEFAULT_CUBE_CAP,
+):
     """Cubes bQ_T of the standard apartment with e(b) + |T| <= latitude,
     windowed to |b| <= word_radius and e(b) inside e_range.
 
     Returns (vertices, cubes): vertices is a dict word -> id over the window,
-    cubes are (dim, ctype, corner-ids) records forming a complex closed under
-    faces (a cube enters iff all its corners are window vertices).
+    ids in (length, word) order; cubes are (dim, ctype, corner-ids) records
+    forming a complex closed under faces (a cube enters iff all its corners
+    are window vertices), each generated once from its least-exponent corner
+    b.  The caps bound the word ball and the window cells.
     """
     lo, hi = e_range
     if lo > hi or word_radius < 0:
         raise EmptyWindow(f"window e-range {e_range} x radius {word_radius} is empty")
-    table = _artin_ball(graph, word_radius)
+    table = _artin_ball(graph, word_radius, vertex_cap)
     verts = {}
     for b in sorted(table, key=lambda w: (len(w), w)):
         e = W.exponent(b)
         if e <= latitude and lo <= e <= hi:
             verts[b] = len(verts)
     ctypes = [tuple(sorted(c, key=graph.order.get)) for c in cliques(graph).nonempty()]
-    cells = []
+    cubes = []
     for b in verts:
         e = W.exponent(b)
         for ctype in ctypes:
@@ -430,16 +435,10 @@ def valley_cells(graph: Graph, latitude: int, e_range, word_radius: int):
                 continue
             ids = _window_corner_ids(table, verts, b, ctype)
             if ids is not None:
-                cells.append((len(ctype), ctype, ids))
-    seen = set()
-    cubes = []
-    for dim, ctype, ids in cells:
-        key = frozenset(ids)
-        if key not in seen:
-            seen.add(key)
-            cubes.append((dim, ctype, ids))
-    for word, vid in verts.items():
-        cubes.append((0, (), (vid,)))
+                if len(verts) + len(cubes) >= cube_cap:
+                    raise ResourceCap(f"valley window cube budget {cube_cap} exhausted")
+                cubes.append((len(ctype), ctype, ids))
+    cubes.extend((0, (), (vid,)) for vid in verts.values())
     return verts, cubes
 
 
@@ -459,12 +458,12 @@ def _window_corner_ids(table, verts, b, ctype):
     return tuple(verts[w] for w in corners)
 
 
-def _artin_ball(graph: Graph, radius: int):
+def _artin_ball(graph: Graph, radius: int, vertex_cap: int = DEFAULT_VERTEX_CAP):
     """The words of length <= radius, each mapped to its row of the letter
     table: row[x] is the canonical form of w x for every letter x with w x in
     the ball.  The BFS computes w x once; the reverse entry (w x) x^-1 = w is
     recorded with it, so a letter that shortens a word is never multiplied
-    out again."""
+    out again.  Raises ResourceCap when the ball outgrows vertex_cap words."""
     letters = [(t, sign) for t in graph.vertices for sign in (1, -1)]
     table = {(): {}}
     frontier = [()]
@@ -477,6 +476,8 @@ def _artin_ball(graph: Graph, radius: int):
                     continue
                 w = W.multiply(graph, b, (x,))
                 if w not in table:
+                    if len(table) >= vertex_cap:
+                        raise ResourceCap(f"word ball vertex budget {vertex_cap} exhausted")
                     table[w] = {}
                     nxt.append(w)
                 row[x] = w
@@ -489,21 +490,22 @@ def _artin_ball(graph: Graph, radius: int):
 
 def detect_pockets(ball: CubeBall):
     """Unordered pairs of distinct squares sharing exactly two edges that meet
-    in a common vertex; each witnesses a pair of distinct geodesics."""
+    in a common vertex; each witnesses a pair of distinct geodesics.  Squares
+    are indexed by their four edges, so only squares sharing one are paired."""
     squares = [c for c in ball.cubes if c.dim == 2]
-    edge_sets = []
-    for c in squares:
-        edges = {f for f in c.faces() if len(f) == 2}
-        edge_sets.append(edges)
-    pockets = []
-    for i, j in itertools.combinations(range(len(squares)), 2):
-        shared = edge_sets[i] & edge_sets[j]
-        if len(shared) != 2:
-            continue
-        e1, e2 = shared
-        if e1 & e2:
-            pockets.append((squares[i], squares[j], tuple(sorted(map(sorted, shared)))))
-    return pockets
+    by_edge = {}
+    for i, c in enumerate(squares):
+        for a, b in ((0, 1), (0, 2), (1, 3), (2, 3)):
+            by_edge.setdefault(frozenset((c.corners[a], c.corners[b])), []).append(i)
+    shared = {}
+    for edge, owners in by_edge.items():
+        for pair in itertools.combinations(owners, 2):
+            shared.setdefault(pair, []).append(edge)
+    return [
+        (squares[i], squares[j], tuple(sorted(map(sorted, edges))))
+        for (i, j), edges in sorted(shared.items())
+        if len(edges) == 2 and edges[0] & edges[1]
+    ]
 
 
 def check_links(ball: CubeBall):

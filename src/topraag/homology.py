@@ -12,7 +12,7 @@ import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import NonClosedComplex
+from .errors import EmptyWindow, NonClosedComplex
 
 class SparseMatrix:
     """Integer matrix as row -> {col: value} with a column index."""
@@ -329,10 +329,10 @@ def _bits_in_use(rows):
 class ChainComplex:
     """Integer boundary matrices per degree, dd = 0 verified exactly."""
 
-    def __init__(self, boundaries: dict[int, SparseMatrix], counts: dict[int, int], index=None):
+    def __init__(self, boundaries: dict[int, SparseMatrix], counts: dict[int, int], cells=None):
         self.boundaries = boundaries
         self.counts = counts
-        self.index = index or {}
+        self.cells = cells or {}  # degree -> corner tuples in column order
         self._snf: dict[int, SNFResult] = {}
         self._check_dd()
 
@@ -376,41 +376,38 @@ def chain_complex(cells) -> ChainComplex:
     ``cells`` is a CubeBall or an iterable of (dim, ctype, corners) with
     corners indexed by subset bitmask.  The boundary of a d-cube is the
     signed sum over coordinates of (upper face - lower face), sign (-1)^i.
+    Each degree's cells are ordered colexicographically, largest corner
+    first, so for every n the cells on vertex ids < n come first in every
+    degree: the full subcomplex on an id prefix is a column prefix.
     Raises NonClosedComplex when a face is missing.
     """
     records = cells.cells_for_homology() if hasattr(cells, "cells_for_homology") else list(cells)
     index: dict[tuple[int, frozenset], int] = {}
-    stored: dict[tuple[int, frozenset], tuple] = {}
-    per_dim: dict[int, int] = {}
-    ordered = sorted(records, key=lambda r: (r[0], tuple(sorted(r[2]))))
-    for dim, ctype, corners in ordered:
+    stored: dict[int, list[tuple]] = {}
+    for dim, ctype, corners in sorted(records, key=lambda r: (r[0], sorted(r[2], reverse=True))):
         key = (dim, frozenset(corners))
         if key in index:
             continue
-        index[key] = per_dim.get(dim, 0)
-        stored[key] = tuple(corners)
-        per_dim[dim] = index[key] + 1
+        column = stored.setdefault(dim, [])
+        index[key] = len(column)
+        column.append(tuple(corners))
+    per_dim = {d: len(column) for d, column in stored.items()}
     boundaries = {}
-    top = max(per_dim) if per_dim else -1
-    for d in range(1, top + 1):
-        boundaries[d] = SparseMatrix(per_dim.get(d - 1, 0), per_dim.get(d, 0))
-    for key, col in index.items():
-        dim = key[0]
-        if dim == 0:
-            continue
-        corners = stored[key]
-        for i in range(dim):
-            sign = (-1) ** i
-            lower, upper = _face_corner_tuples(corners, dim, i)
-            for face, fsign in ((upper, sign), (lower, -sign)):
-                fkey = (dim - 1, frozenset(face))
-                if fkey not in index:
-                    raise NonClosedComplex(
-                        f"missing {dim - 1}-face of a {dim}-cube: {sorted(face)}"
-                    )
-                orient = _relative_orientation(stored[fkey], face)
-                boundaries[dim].add(index[fkey], col, fsign * orient)
-    return ChainComplex(boundaries, per_dim, index)
+    for dim in range(1, max(per_dim, default=0) + 1):
+        bd = boundaries[dim] = SparseMatrix(per_dim.get(dim - 1, 0), per_dim.get(dim, 0))
+        for col, corners in enumerate(stored.get(dim, ())):
+            for i in range(dim):
+                sign = (-1) ** i
+                lower, upper = _face_corner_tuples(corners, dim, i)
+                for face, fsign in ((upper, sign), (lower, -sign)):
+                    row = index.get((dim - 1, frozenset(face)))
+                    if row is None:
+                        raise NonClosedComplex(
+                            f"missing {dim - 1}-face of a {dim}-cube: {sorted(face)}"
+                        )
+                    orient = _relative_orientation(stored[dim - 1][row], face)
+                    bd.add(row, col, fsign * orient)
+    return ChainComplex(boundaries, per_dim, stored)
 
 
 def _face_corner_tuples(corners, dim, axis):
@@ -588,74 +585,70 @@ def clique_complex_homology(graph) -> HomologyResult:
     return reduced_homology(simplicial_chain_complex(sc.simplices))
 
 
-def persistent_reduced_betti(small, big, vertex_map, degree: int) -> int:
+def persistent_reduced_betti(small, big, degree: int) -> int:
     """Rank of the map on reduced homology induced by an inclusion A <= B of
-    full subcomplexes, in one degree.
+    subcomplexes, in one degree.
 
     ``small`` and ``big`` are the ChainComplexes of A and B, or their cell
-    lists.  ``vertex_map`` sends A vertex ids to B vertex ids.  Since A is a
-    subcomplex, reduced cycles of A meet boundaries of B exactly in the
+    lists.  The k-cells of A must be the first k-cells of B, in the same
+    column order; chain_complex orders cells so that this holds whenever A
+    is the full subcomplex of B on a prefix of its vertex ids.  Since A is
+    a subcomplex, reduced cycles of A meet boundaries of B exactly in the
     chains of A that bound in B, which collapses the computation to three
     integer ranks:
 
         rank im = rank [dB_{k+1} | E_A] - rank dA_k - rank dB_{k+1}
 
     where E_A is the coordinate inclusion of the k-cells of A into those of
-    B and dA_0 means the augmentation row.  The last two ranks are the ones
-    each complex already keeps from its homology, so only the stacked matrix
-    needs a new Smith normal form.  Truncated valleys are compared across
-    two window radii through this map: classes that are artifacts of the
-    smaller window die in the bigger one.
+    B (unit columns on the first rows) and dA_0 means the augmentation row.
+    The last two ranks are the ones each complex already keeps from its
+    homology, so only the stacked matrix needs a new Smith normal form.
+    Raises NonClosedComplex when A's k-cells are not a prefix of B's.
     """
     ccA = small if isinstance(small, ChainComplex) else chain_complex(small)
     ccB = big if isinstance(big, ChainComplex) else chain_complex(big)
     k = degree
-    n_kB = ccB.counts.get(k, 0)
+    a_cells = ccA.cells.get(k, [])
+    if ccB.cells.get(k, [])[: len(a_cells)] != a_cells:
+        raise NonClosedComplex("small complex is not a prefix of the big one")
     cols_dB = ccB.counts.get(k + 1, 0)
-    a_cells = sorted(
-        (pos, key) for (dim, key), pos in ccA.index.items() if dim == k
-    )
-    stacked = SparseMatrix(n_kB, cols_dB + len(a_cells))
+    stacked = SparseMatrix(ccB.counts.get(k, 0), cols_dB + len(a_cells))
     if k + 1 in ccB.boundaries:
         for i, j, v in ccB.boundaries[k + 1].entries():
             stacked.set(i, j, v)
-    for col_off, (pos, keyset) in enumerate(a_cells):
-        mapped = frozenset(vertex_map[v] for v in keyset)
-        b_pos = ccB.index.get((k, mapped))
-        if b_pos is None:
-            raise NonClosedComplex("small complex does not include into the big one")
-        stacked.set(b_pos, cols_dB + col_off, 1)
+    for i in range(len(a_cells)):
+        stacked.set(i, cols_dB + i, 1)
     return snf_rank(stacked) - ccA.snf(k).rank - ccB.snf(k + 1).rank
 
 
-def valley_homology_report(graph, latitude: int, word_radius: int, e_lo=None) -> dict:
+def valley_homology_report(graph, latitude: int, word_radius: int, **caps) -> dict:
     """Two-radius stabilisation protocol for truncated valleys.
 
     Computes reduced homology of the valley window at ``word_radius`` and
     ``word_radius + 1``, plus the persistent reduced Betti numbers of the
     inclusion in degrees 0 and 1.  Every finite window strands fringe cells,
     so the per-window numbers need not agree; the persistent numbers are the
-    stabilised answer, with ``stabilised`` recording plain agreement too.
-    Each window's chain complex is built once and its boundary ranks serve
-    both its homology and the persistence ranks.
+    stabilised answer, with ``stabilised_plain`` recording plain agreement.
+    Only the bigger window is built, under ``caps`` (``vertex_cap``,
+    ``cube_cap``, as for valley_cells).  Its vertex ids are sorted by word
+    length and both windows share the e-range, so the smaller window is the
+    full subcomplex on the ids of the words of length <= ``word_radius``:
+    a column prefix of the bigger chain complex in every degree.
     """
     from .complexes import valley_cells
 
-    if e_lo is None:
-        e_lo = latitude - word_radius - 2
-    reports = {}
-    data = {}
-    for r in (word_radius, word_radius + 1):
-        verts, cubes = valley_cells(graph, latitude, (e_lo, latitude), r)
-        cc = chain_complex(cubes)
-        data[r] = (verts, cc)
-        reports[r] = reduced_homology(cc).to_json()
-    verts_small, cc_small = data[word_radius]
-    verts_big, cc_big = data[word_radius + 1]
-    vmap = {vid: verts_big[w] for w, vid in verts_small.items()}
-    persistent = {
-        k: persistent_reduced_betti(cc_small, cc_big, vmap, k) for k in (0, 1)
+    if word_radius < 0:
+        raise EmptyWindow(f"window radius {word_radius} is negative")
+    e_lo = latitude - word_radius - 2
+    verts, cubes = valley_cells(graph, latitude, (e_lo, latitude), word_radius + 1, **caps)
+    m = sum(1 for w in verts if len(w) <= word_radius)
+    cc_small = chain_complex([c for c in cubes if max(c[2]) < m])
+    cc_big = chain_complex(cubes)
+    reports = {
+        word_radius: reduced_homology(cc_small).to_json(),
+        word_radius + 1: reduced_homology(cc_big).to_json(),
     }
+    persistent = {k: persistent_reduced_betti(cc_small, cc_big, k) for k in (0, 1)}
     plain_agree = reports[word_radius] == reports[word_radius + 1]
     return {
         "latitude": latitude,

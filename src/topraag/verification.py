@@ -229,8 +229,8 @@ def suite_pockets(ball) -> dict:
     return _finish("pockets", checks, {"pockets": len(pockets)})
 
 
-def suite_valleys(model, graph, rng, latitude=0, window=4) -> dict:
-    rep = valley_homology_report(graph, latitude, window)
+def suite_valleys(graph, latitude, window, vertex_cap, cube_cap) -> dict:
+    rep = valley_homology_report(graph, latitude, window, vertex_cap=vertex_cap, cube_cap=cube_cap)
     lgh = clique_complex_homology(graph)
     checks = []
     pers = rep["persistent_reduced_betti"]
@@ -306,7 +306,7 @@ def run_suite(
     if graph is None:
         raise ConfigError(f"suite {name!r} needs --graph")
     if name == "valleys":
-        return suite_valleys(model, graph, rng, latitude=latitude, window=window)
+        return suite_valleys(graph, latitude, window, vertex_cap, cube_cap)
     if model is None:
         raise ConfigError(f"suite {name!r} needs --model")
     if name == "normal-form":

@@ -126,8 +126,11 @@ def test_graph_label_not_a_string_exit_2(tmp_path, capsys, graph, message):
         (["verify", "--suite", "sb", "--n", "-1"], "--n"),
         (["build", "--cap-vertices", "-1"], "--cap-vertices"),
         (["build", "--cap-cubes", "-1"], "--cap-cubes"),
+        (["homology", "--valley", "0", "--window", "-1"], "--window"),
+        (["verify", "--suite", "valleys", "--window", "-1"], "--window"),
     ],
-    ids=["build-radius", "homology-radius", "verify-radius", "n", "cap-vertices", "cap-cubes"],
+    ids=["build-radius", "homology-radius", "verify-radius", "n", "cap-vertices", "cap-cubes",
+         "homology-window", "verify-window"],
 )
 def test_negative_number_exit_2(capsys, args, option):
     code = run_cli(args + ["--graph", CONFIGS / "edge.json", "--model", CONFIGS / "trivial.json"])
@@ -186,6 +189,29 @@ def test_verify_honours_cube_cap(capsys):
     )
     assert code == 1
     assert capsys.readouterr().err == "error: cube budget 5 exhausted\n"
+
+
+VALLEY_COMMANDS = pytest.mark.parametrize(
+    "command",
+    [["homology", "--valley", "0"], ["verify", "--suite", "valleys", "--latitude", "0"]],
+    ids=["homology", "verify"],
+)
+
+
+@VALLEY_COMMANDS
+def test_valley_honours_vertex_cap(capsys, command):
+    code = run_cli(
+        command + ["--graph", CONFIGS / "c4.json", "--window", "2", "--cap-vertices", "1"]
+    )
+    assert code == 1
+    assert capsys.readouterr().err == "error: word ball vertex budget 1 exhausted\n"
+
+
+@VALLEY_COMMANDS
+def test_valley_honours_cube_cap(capsys, command):
+    code = run_cli(command + ["--graph", CONFIGS / "edge.json", "--window", "2", "--cap-cubes", "5"])
+    assert code == 1
+    assert capsys.readouterr().err == "error: valley window cube budget 5 exhausted\n"
 
 
 def test_verify_pockets_passes(capsys):

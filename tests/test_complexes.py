@@ -3,6 +3,7 @@ intersection trichotomy, pockets, links, nerves, valleys."""
 
 import itertools
 import json
+from types import SimpleNamespace
 
 import pytest
 
@@ -580,6 +581,40 @@ def test_pockets_iff_face_condition_fails():
         ball = build_ball(model, graph, r)
         ok, _ = common_face_check(ball)
         assert ok == (not detect_pockets(ball))
+
+
+def _pockets_all_pairs(ball):
+    # reference: every pair of squares compared through their face sets
+    squares = [c for c in ball.cubes if c.dim == 2]
+    edge_sets = [{f for f in c.faces() if len(f) == 2} for c in squares]
+    pockets = []
+    for i, j in itertools.combinations(range(len(squares)), 2):
+        shared = edge_sets[i] & edge_sets[j]
+        if len(shared) != 2:
+            continue
+        e1, e2 = shared
+        if e1 & e2:
+            pockets.append((squares[i], squares[j], tuple(sorted(map(sorted, shared)))))
+    return pockets
+
+
+def test_pockets_match_all_pairs_scan():
+    cases = [
+        (SM2, EDGE, 4),
+        (SM2, cycle_graph("abcd"), 2),
+        (ShiftModel(3), EDGE, 3),
+        (ShiftModel(3), path_graph("pqr"), 2),
+    ]
+    for model, graph, r in cases:
+        ball = build_ball(model, graph, r)
+        pockets = detect_pockets(ball)
+        assert pockets
+        assert pockets == _pockets_all_pairs(ball)
+    # in the balls above every pocket shares the edges at its base corner;
+    # this pair shares the two edges at its top corner instead
+    squares = [Cube(2, ("s", "t"), c, frozenset(c), c[0]) for c in ((0, 1, 2, 3), (4, 1, 2, 3))]
+    top_pair = SimpleNamespace(cubes=squares)
+    assert detect_pockets(top_pair) == _pockets_all_pairs(top_pair) != []
 
 
 def test_no_interior_vertices_raises():

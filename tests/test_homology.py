@@ -5,7 +5,7 @@ import signal
 
 import pytest
 
-from topraag.errors import NonClosedComplex
+from topraag.errors import EmptyWindow, NonClosedComplex
 from topraag.graphs import complete_graph, cycle_graph, edge_graph, path_graph
 from topraag.models import ShiftModel, TrivialModel, s3_a3_model
 from topraag.complexes import build_ball, valley_cells
@@ -273,9 +273,8 @@ def test_persistence_identity_inclusion():
         (1, ("x",), (2, 3)),
         (1, ("x",), (3, 0)),
     ]
-    vmap = {i: i for i in range(4)}
-    assert persistent_reduced_betti(cells, cells, vmap, 0) == 0
-    assert persistent_reduced_betti(cells, cells, vmap, 1) == 1
+    assert persistent_reduced_betti(cells, cells, 0) == 0
+    assert persistent_reduced_betti(cells, cells, 1) == 1
 
 
 def test_persistence_cycle_dies_in_disc():
@@ -286,12 +285,21 @@ def test_persistence_cycle_dies_in_disc():
         (1, ("x",), (3, 0)),
     ]
     disc = circle + [(2, ("x", "y"), (0, 1, 3, 2))]
-    vmap = {i: i for i in range(4)}
-    assert persistent_reduced_betti(circle, disc, vmap, 1) == 0
+    assert persistent_reduced_betti(circle, disc, 1) == 0
     # two components merging kill the extra H0 class
     two = [(0, (), (0,)), (0, (), (1,))]
     joined = two + [(1, ("x",), (0, 1))]
-    assert persistent_reduced_betti(two, joined, {0: 0, 1: 1}, 0) == 0
+    assert persistent_reduced_betti(two, joined, 0) == 0
+
+
+def test_persistence_rejects_a_small_complex_that_is_not_a_prefix():
+    # vertex 1 alone is a subcomplex of the edge, but not on an id prefix
+    edge = [(0, (), (0,)), (0, (), (1,)), (1, ("x",), (0, 1))]
+    with pytest.raises(NonClosedComplex):
+        persistent_reduced_betti([(0, (), (1,))], edge, 0)
+    # a cell the big complex does not have at all
+    with pytest.raises(NonClosedComplex):
+        persistent_reduced_betti([(0, (), (0,)), (0, (), (2,))], edge, 0)
 
 
 def test_valley_homology_reports():
@@ -300,12 +308,59 @@ def test_valley_homology_reports():
     assert rep["stabilised_plain"]
     rep = valley_homology_report(complete_graph("abc"), 0, 4)
     assert rep["persistent_reduced_betti"] == {"0": 0, "1": 0}
+    with pytest.raises(EmptyWindow):
+        valley_homology_report(edge_graph(), 0, -1)
 
 
 def test_valley_homology_c4():
     rep = valley_homology_report(cycle_graph("abcd"), 0, 4)
     assert rep["persistent_reduced_betti"]["0"] == 0
     assert rep["persistent_reduced_betti"]["1"] > 0
+
+
+def _two_window_report(graph, latitude, word_radius):
+    # reference protocol: both windows built on their own, the smaller one
+    # mapped into the bigger through its words, and the inclusion rank read
+    # off the stacked matrix [dB_{k+1} | E_A]
+    e_lo = latitude - word_radius - 2
+    windows = {}
+    for r in (word_radius, word_radius + 1):
+        verts, cubes = valley_cells(graph, latitude, (e_lo, latitude), r)
+        windows[r] = (verts, chain_complex(cubes))
+    verts_a, cc_a = windows[word_radius]
+    verts_b, cc_b = windows[word_radius + 1]
+    vmap = {vid: verts_b[w] for w, vid in verts_a.items()}
+    persistent = {}
+    for k in (0, 1):
+        row_of = {frozenset(cell): i for i, cell in enumerate(cc_b.cells.get(k, []))}
+        n_cols = cc_b.counts.get(k + 1, 0)
+        a_cells = cc_a.cells.get(k, [])
+        stacked = SparseMatrix(cc_b.counts.get(k, 0), n_cols + len(a_cells))
+        for i, j, v in (cc_b.boundaries[k + 1].entries() if k + 1 in cc_b.boundaries else ()):
+            stacked.set(i, j, v)
+        for j, cell in enumerate(a_cells):
+            stacked.set(row_of[frozenset(vmap[v] for v in cell)], n_cols + j, 1)
+        persistent[str(k)] = (
+            smith_normal_form(stacked).rank - cc_a.snf(k).rank - cc_b.snf(k + 1).rank
+        )
+    per_radius = {str(r): reduced_homology(cc).to_json() for r, (_, cc) in windows.items()}
+    return {
+        "latitude": latitude,
+        "window": {"word_radius": word_radius, "e_range": [e_lo, latitude]},
+        "per_radius": per_radius,
+        "persistent_reduced_betti": persistent,
+        "stabilised_plain": per_radius[str(word_radius)] == per_radius[str(word_radius + 1)],
+    }
+
+
+def test_valley_report_matches_two_window_protocol():
+    graphs = (edge_graph(), path_graph("pqr"), complete_graph("abc"), cycle_graph("abcd"))
+    for graph in graphs:
+        for latitude in (-1, 0, 1):
+            for word_radius in range(5):
+                assert valley_homology_report(graph, latitude, word_radius) == _two_window_report(
+                    graph, latitude, word_radius
+                )
 
 
 def test_valley_connectivity_matches_clique_complex():
