@@ -83,8 +83,8 @@ class CubeBall:
         self.apartment_trace = None      # (words -> ids, cubes), built on demand
 
     # -- construction helpers ----------------------------------------------
-    def _add_vertex(self, rep, d):
-        key = self.engine.key(rep)
+    def _add_vertex(self, rep, d, key):
+        """New vertex rep U at distance d, named by key = engine.coset_key(rep)."""
         vid = len(self.vertex_reps)
         self.vertex_ids[key] = vid
         self.vertex_reps.append(rep)
@@ -162,28 +162,43 @@ def build_ball(
 ) -> CubeBall:
     """BFS the coset 1-skeleton to the given radius, recording every edge in
     the coset table, then attach every cube all of whose corners landed
-    inside."""
+    inside.
+
+    A probe r_v u t^sign moves the walk at r_v by two tokens, and
+    engine.coset_name reads its coset key and y with r_v u t^sign = b y, b
+    fixed by the key.  With r_w = b p_w the table entry is x = p_w^-1 y.
+    Only a new vertex pays for its canonical representative."""
     engine = engine_for(model, graph)
     ball = CubeBall(model, graph, radius, engine)
-    ball._add_vertex(engine.coset_rep(engine.identity()), 0)
+    walks, inv_place = [], []            # per vertex w: the walk at r_w, p_w^-1
+
+    def add(walk, key, y, d):
+        rep, x, walk = engine.walk_split(walk, key, y)       # b y = rep x
+        walks.append(walk)
+        inv_place.append(model.mul(x, model.inv(y)))
+        return ball._add_vertex(rep, d, key)
+
+    add(engine.identity(), *engine.coset_name(engine.identity()), 0)
     letters = [(u, t, sign) for t in graph.vertices for sign in (1, -1)
                for u in model.left_transversal(1 if sign == 1 else 0)]
-    # vertex_reps grows while it is walked: the walk is the BFS
-    for vid, rep in enumerate(ball.vertex_reps):
+    # walks grows while it is walked: the walk is the BFS
+    for vid, here in enumerate(walks):
         d = ball.dist[vid]
+        row = ball.table[vid]
         for u, t, sign in letters:
-            nb, x = engine.coset_split(
-                engine.mul_token(engine.mul_token(rep, u_token(u)), gen_token(t, sign))
-            )
-            wid = ball.vertex_ids.get(engine.key(nb))
+            walk = engine.walk_token(engine.walk_token(here, u_token(u)), gen_token(t, sign))
+            key, y = engine.coset_name(walk)
+            wid = ball.vertex_ids.get(key)
             if wid is None and d < radius:
                 if ball.n_vertices >= vertex_cap:
                     raise ResourceCap(f"vertex budget {vertex_cap} exhausted at radius {d + 1}")
-                wid = ball._add_vertex(nb, d + 1)
-            ball.table[vid][u, t, sign] = None if wid is None else (wid, x)
-            if wid is not None:
-                ball.adjacency[vid].add(wid)
-                ball.adjacency[wid].add(vid)
+                wid = add(walk, key, y, d + 1)
+            if wid is None:
+                row[u, t, sign] = None
+                continue
+            row[u, t, sign] = (wid, model.mul(inv_place[wid], y))
+            ball.adjacency[vid].add(wid)
+            ball.adjacency[wid].add(vid)
     _attach_cubes(ball, cube_cap)
     return ball
 

@@ -40,12 +40,9 @@ def parse_tokens(model: BaseModel, g: Graph, text: str) -> tuple[Token, ...]:
     """Parse "s 3 t^-1" / "s perm[1,0,2]" style element words."""
     out = []
     for tok in text.split():
-        base = tok.partition("^")[0]
+        base, caret, power = tok.partition("^")
         if base in g._adj:
-            if "^" in tok:
-                n = int(tok.partition("^")[2])
-            else:
-                n = 1
+            n = int(power) if caret else 1
             sign = 1 if n > 0 else -1
             out.extend([gen_token(base, sign)] * abs(n))
         else:
@@ -53,14 +50,12 @@ def parse_tokens(model: BaseModel, g: Graph, text: str) -> tuple[Token, ...]:
     return tuple(out)
 
 
+def invert_token(model: BaseModel, t: Token) -> Token:
+    return u_token(model.inv(t[1])) if t[0] == "u" else gen_token(t[1], -t[2])
+
+
 def invert_tokens(model: BaseModel, toks) -> tuple[Token, ...]:
-    out = []
-    for t in reversed(toks):
-        if t[0] == "u":
-            out.append(u_token(model.inv(t[1])))
-        else:
-            out.append(gen_token(t[1], -t[2]))
-    return tuple(out)
+    return tuple(invert_token(model, t) for t in reversed(toks))
 
 
 @dataclass(frozen=True)
@@ -73,19 +68,6 @@ class NormalSequence:
     @property
     def length(self) -> int:
         return len(self.tail)
-
-
-def validate_normal_sequence(model: BaseModel, g: Graph, seq: NormalSequence) -> None:
-    reps = set(model.transversal_R())
-    ident = model.identity()
-    n = seq.length
-    for i, (a, u) in enumerate(seq.tail):
-        if not a or W.normal_form(g, a) != a:
-            raise ValueError(f"tail word {i} is not a nontrivial canonical word")
-        if u not in reps:
-            raise ValueError(f"tail entry {i} is not a transversal representative")
-        if i < n - 1 and u == ident:
-            raise ValueError(f"intermediate entry {i} must be nontrivial")
 
 
 def base_sequence(model: BaseModel, u=None) -> NormalSequence:
@@ -134,27 +116,21 @@ def word_of(seq: NormalSequence) -> tuple[Token, ...]:
     return tuple(toks)
 
 
-def sequence_key(model: BaseModel, seq: NormalSequence):
-    return (
-        model.elem_key(seq.head),
-        tuple((a, model.elem_key(u)) for a, u in seq.tail),
-    )
-
-
 class Engine:
     """Shared element API over a fixed (model, graph) pair.
 
-    Elements are opaque canonical values; ``key`` serializes them into
-    hashable, sortable data and two elements are equal in the group iff their
+    Elements are opaque, hashable canonical values; ``key`` serializes them
+    into sortable data and two elements are equal in the group iff their
     keys agree.  ``coset_split`` splits an element of the left U-coset gU,
     the vertex set of the coset cube complex, into the coset's canonical
-    representative and a U-remainder.
+    representative and a U-remainder; ``coset_key`` names gU, and two
+    elements get one name iff they lie in one coset.
 
     Each engine supplies the primitives ``identity``, ``mul_token``,
     ``tokens``, ``key``, ``is_in_U``, ``coset_split``, ``apartment_key`` and
-    ``format``; the group operations below derive from them.  Canonical forms
-    are unique, so an engine may override a derived method with a cheaper
-    computation on its own representation and still return the same element.
+    ``format``; the group operations below derive from them.  An engine may
+    override a derived method with a cheaper computation on its own
+    representation that returns the same element, or names the same coset.
     """
 
     regime = "abstract"
@@ -234,7 +210,22 @@ class Engine:
         return self.coset_split(a)[0]
 
     def coset_key(self, a):
-        return self.key(self.coset_rep(a))
+        return self.coset_rep(a)
+
+    # Walks name the cosets of right multiples in the ball BFS: a walk stands
+    # for an element, moves by right tokens, and the identity is its own walk.
+    def walk_token(self, walk, token):
+        return self.mul_token(walk, token)
+
+    def coset_name(self, walk):
+        """(key, y) with g = b y for the walk's element g: key names gU and fixes b.
+        Here the walk is g, and both key and b are its coset's representative."""
+        return self.coset_split(walk)
+
+    def walk_split(self, walk, key, y):
+        """(rep, x, walk at rep) with (rep, x) the coset_split of the walk's
+        element and (key, y) its coset_name."""
+        return key, y, key
 
 
 class AutomorphicEngine(Engine):
@@ -264,30 +255,22 @@ class AutomorphicEngine(Engine):
         return word_of(a)
 
     def key(self, a):
-        return sequence_key(self.model, a)
+        m = self.model
+        return m.elem_key(a.head), tuple((w, m.elem_key(u)) for w, u in a.tail)
 
     def is_in_U(self, a):
         return a.length == 0
 
     def coset_split(self, a):
         # the least key over aU; a = (a u) * u^-1
-        best = None
-        for u in self._U:
-            cand = self.mul(a, base_sequence(self.model, u))
-            k = self.key(cand)
-            if best is None or k < best[0]:
-                best = (k, cand, u)
-        return best[1], self.model.inv(best[2])
+        cands = ((self.mul(a, base_sequence(self.model, u)), u) for u in self._U)
+        rep, u = min(cands, key=lambda c: self.key(c[0]))
+        return rep, self.model.inv(u)
 
     def apartment_key(self, n):
         # apartments n*Sigma0 = n'*Sigma0 iff n^-1 n' lies in the pointwise
         # stabiliser of the base apartment, which is O here
-        best = None
-        for w in self._O:
-            k = self.key(self.mul(n, base_sequence(self.model, w)))
-            if best is None or k < best:
-                best = k
-        return best
+        return min(self.key(self.mul(n, base_sequence(self.model, w))) for w in self._O)
 
     def format(self, a):
         m = self.model
@@ -304,6 +287,22 @@ class AutomorphicEngine(Engine):
 
     def mul(self, a, b):
         return act_word(self.model, self.graph, word_of(a), b)
+
+    # A walk at g is the normal sequence of g^-1, where g * token is one
+    # letter acting on the left.  U acting on the left changes only the head,
+    # so the tail (hashable) names gU, and g = (1, tail)^-1 * head^-1.
+    def coset_key(self, a):
+        return self.inv(a).tail
+
+    def walk_token(self, walk, token):
+        return act_letter(self.model, self.graph, invert_token(self.model, token), walk)
+
+    def coset_name(self, walk):
+        return walk.tail, self.model.inv(walk.head)
+
+    def walk_split(self, walk, key, y):
+        rep, x = self.coset_split(self.inv(walk))
+        return rep, x, NormalSequence(self.model.mul(x, walk.head), walk.tail)
 
 
 def verify_relations(model: BaseModel, graph: Graph, samples=None) -> dict:

@@ -183,6 +183,8 @@ class FiniteModel(BaseModel):
             raise ModelError("phi is not injective")
         self.phi_inv_table = {v: w for w, v in self.phi_table.items()}
         self._R = self._right_transversal(coset_reps)
+        # u = omega * r for every omega in O and r in R, each u once
+        self._decomposition = {perm_mul(w, r): (w, r) for r in self._R for w in self.O}
         self._left = {}
 
     def _extend_phi(self):
@@ -255,13 +257,10 @@ class FiniteModel(BaseModel):
         return self._R
 
     def decompose(self, u):
-        if u not in self.U:
-            raise NotInDomain(f"{u} is not in U")
-        for r in self._R:
-            omega = perm_mul(u, perm_inv(r))
-            if omega in self.O:
-                return omega, r
-        raise AssertionError("transversal failed to cover U")
+        try:
+            return self._decomposition[u]
+        except KeyError:
+            raise NotInDomain(f"{u} is not in U") from None
 
     def phi_k_O(self, k: int) -> frozenset:
         if k <= 0 or self.is_automorphic:

@@ -321,7 +321,8 @@ def _engine_walk_ball(model, graph, radius):
     coset key, and the 1-skeleton read back from the 1-cubes."""
     engine = engine_for(model, graph)
     ball = CubeBall(model, graph, radius, engine)
-    ball._add_vertex(engine.coset_rep(engine.identity()), 0)
+    root = engine.coset_rep(engine.identity())
+    ball._add_vertex(root, 0, engine.coset_key(root))
     frontier = [0]
     for d in range(radius):
         nxt = []
@@ -331,8 +332,8 @@ def _engine_walk_ball(model, graph, radius):
                     for u in model.left_transversal(1 if sign == 1 else 0):
                         nb = engine.mul_token(ball.vertex_reps[vid], u_token(u))
                         nb = engine.coset_rep(engine.mul_token(nb, gen_token(t, sign)))
-                        if engine.key(nb) not in ball.vertex_ids:
-                            nxt.append(ball._add_vertex(nb, d + 1))
+                        if engine.coset_key(nb) not in ball.vertex_ids:
+                            nxt.append(ball._add_vertex(nb, d + 1, engine.coset_key(nb)))
         frontier = nxt
     for vid in range(ball.n_vertices):
         ball.cube_ids[frozenset((vid,))] = len(ball.cubes)
@@ -412,6 +413,41 @@ def test_coset_table_matches_engine_corner_walk(model, graph, radius):
         for y in ys:
             for t in graph.vertices:
                 assert holds(v, y, t, 1, _table_step(ball, v, y, t))
+
+
+@pytest.mark.parametrize(
+    "model, graph, radius",
+    [(S3A3, EDGE, 3), (INVERSION, complete_graph("abc"), 2), (TrivialModel(), cycle_graph("abcd"), 3)],
+    ids=["s3a3-edge", "inversion-k3", "trivial-c4"],
+)
+def test_vertex_id_of_names_automorphic_cosets(model, graph, radius):
+    ball = build_ball(model, graph, radius)
+    engine = ball.engine
+    assert engine.regime == "automorphic"
+    # oracle: look the coset up by its representative's key
+    by_rep = {engine.key(rep): v for v, rep in enumerate(ball.vertex_reps)}
+
+    def oracle(g):
+        return by_rep.get(engine.key(engine.coset_rep(g)))
+
+    assert len({engine.coset_key(rep) for rep in ball.vertex_reps}) == ball.n_vertices
+    us = sorted(model.U) if hasattr(model, "U") else [model.identity()]
+    outside = 0
+    for v, rep in enumerate(ball.vertex_reps):
+        for u in us:
+            g = engine.mul_token(rep, u_token(u))
+            assert ball.vertex_id_of(g) == oracle(g) == v
+        if ball.dist[v] < radius:
+            continue
+        # one letter past the boundary vertex
+        for u, t, sign in itertools.product(us, graph.vertices, (1, -1)):
+            g = engine.mul_token(engine.mul_token(rep, u_token(u)), gen_token(t, sign))
+            vid = ball.vertex_id_of(g)
+            assert vid == oracle(g)
+            outside += vid is None
+    assert outside > 0
+    t = graph.vertices[0]
+    assert ball.vertex_id_of(engine.from_tokens((gen_token(t, 1),) * (radius + 1))) is None
 
 
 def test_automorphic_pairwise_intersections_at_most_a_vertex():

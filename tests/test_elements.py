@@ -23,7 +23,6 @@ from topraag.elements import (
     parse_tokens,
     to_normal_sequence,
     u_token,
-    validate_normal_sequence,
     verify_relations,
     word_of,
 )
@@ -35,6 +34,21 @@ S3A3 = s3_a3_model()
 C3 = perm_from_cycles(3, [[0, 1, 2]])
 T12 = perm_from_cycles(3, [[0, 1]])
 IDENT = perm_identity(3)
+
+
+def validate_normal_sequence(model, g, seq):
+    """Oracle: the tail words are nontrivial and canonical, the tail entries
+    transversal representatives, nontrivial except possibly the last."""
+    reps = set(model.transversal_R())
+    ident = model.identity()
+    n = seq.length
+    for i, (a, u) in enumerate(seq.tail):
+        if not a or W.normal_form(g, a) != a:
+            raise ValueError(f"tail word {i} is not a nontrivial canonical word")
+        if u not in reps:
+            raise ValueError(f"tail entry {i} is not a transversal representative")
+        if i < n - 1 and u == ident:
+            raise ValueError(f"intermediate entry {i} must be nontrivial")
 
 
 def test_act_letter_case1_from_identity_coset():

@@ -1,8 +1,9 @@
 """The element contract of ``Engine``: every engine's token spelling round-trips
 through ``from_tokens``, every derived operation an engine overrides agrees
-with the base derivation from the primitives, and ``coset_split`` splits an
-element into its coset's representative and a U-remainder.  Also the
-model's ``left_split``, which moves a U-element past a generator."""
+with the base derivation from the primitives, ``coset_split`` splits an
+element into its coset's representative and a U-remainder, and ``coset_key``
+and the BFS walk's ``coset_name`` name cosets as the representatives do.
+Also the model's ``left_split``, which moves a U-element past a generator."""
 
 import inspect
 import random
@@ -43,7 +44,8 @@ PRIMITIVES = (
     "identity", "mul_token", "tokens", "key", "is_in_U", "coset_split", "apartment_key", "format"
 )
 DERIVED = (
-    "from_tokens", "mul", "inv", "u_value", "exponent", "a_part", "n_part", "coset_rep", "coset_key"
+    "from_tokens", "mul", "inv", "u_value", "exponent", "a_part", "n_part", "coset_rep", "coset_key",
+    "walk_token", "coset_name", "walk_split",
 )
 
 
@@ -100,6 +102,23 @@ def test_engine_contract(regime, model, graph):
         assert eng.mul(rep, eng.from_tokens((u_token(u),))) == a
         assert eng.coset_split(rep)[1] == model.identity()
         assert eng.coset_rep(eng.mul_token(a, u_token(rng.choice(u_samples(model))))) == rep
+        # the walk at a, from the identity's walk by a's tokens; it names aU
+        # as coset_key does, with a = b y for b fixed by the key
+        walk = ident
+        for tok in eng.tokens(a):
+            walk = eng.walk_token(walk, tok)
+        key, y = eng.coset_name(walk)
+        assert key == eng.coset_key(a)
+        assert eng.walk_split(walk, key, y)[:2] == (rep, u)
+        rep_key, rep_y = eng.coset_name(eng.walk_split(walk, key, y)[2])
+        assert rep_key == key and model.mul(model.inv(rep_y), y) == u
+        for w in u_samples(model):
+            aw = eng.mul_token(a, u_token(w))
+            assert eng.coset_key(aw) == key
+            assert model.mul(model.inv(y), eng.coset_name(eng.walk_token(walk, u_token(w)))[1]) == w
+    # coset keys partition the elements as the base derivation's keys do
+    named = {(eng.coset_key(a), Engine.coset_key(eng, a)) for a in elems}
+    assert len(named) == len({k for k, _ in named}) == len({r for _, r in named})
     for u in u_samples(model):
         assert eng.u_value(eng.from_tokens((u_token(u),))) == u
     with pytest.raises(ValueError):
@@ -109,7 +128,7 @@ def test_engine_contract(regime, model, graph):
 def test_engines_keep_only_cheaper_overrides():
     kept = {eng.regime: overrides(eng) for eng in (engine_for(m, g) for _, m, g in CASES)}
     assert kept == {
-        "automorphic": ["from_tokens", "mul"],
+        "automorphic": ["from_tokens", "mul", "coset_key", "walk_token", "coset_name", "walk_split"],
         "semidirect": ["mul", "inv", "exponent", "a_part", "n_part"],
         "tree": [],
     }

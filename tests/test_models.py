@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -70,6 +71,41 @@ def test_decompose_with_explicit_transversal():
     assert m.decompose(t12) == (perm_identity(3), t12)
     c3 = perm_from_cycles(3, [[0, 1, 2]])
     assert m.decompose(c3) == (c3, perm_identity(3))
+
+
+def _decompose_by_scan(model, u):
+    # the transversal scan the decomposition table replaced
+    for r in model.transversal_R():
+        omega = perm_mul(u, perm_inv(r))
+        if omega in model.O:
+            return omega, r
+    raise AssertionError("transversal failed to cover U")
+
+
+C3 = perm_from_cycles(3, [[0, 1, 2]])
+T12 = perm_from_cycles(3, [[0, 1]])
+DECOMPOSE_MODELS = {
+    "s3a3": S3A3,
+    # phi = inversion on O = A3
+    "inversion": FiniteModel(3, S3A3.u_gens, [C3], [perm_inv(C3)]),
+    # phi(O) != O
+    "general": FiniteModel(3, S3A3.u_gens, [T12], [perm_from_cycles(3, [[0, 2]])]),
+    "explicit-reps": FiniteModel(
+        3, S3A3.u_gens, S3A3.o_gens, S3A3.phi_images, coset_reps=[perm_identity(3), T12]
+    ),
+    # U = A3, so the transpositions lie outside U
+    "a3": FiniteModel(3, [C3], [C3], [C3]),
+}
+
+
+@pytest.mark.parametrize("model", DECOMPOSE_MODELS.values(), ids=DECOMPOSE_MODELS.keys())
+def test_decompose_table_matches_transversal_scan(model):
+    for u in sorted(model.U):
+        assert model.decompose(u) == _decompose_by_scan(model, u)
+    outside = [p for p in itertools.permutations(range(3)) if p not in model.U]
+    for u in outside + [(0, 1, 2, 3), (0, 0, 1), ()]:
+        with pytest.raises(NotInDomain):
+            model.decompose(u)
 
 
 def test_phi_apply_unapply():
