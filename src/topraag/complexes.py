@@ -597,9 +597,10 @@ def nerve_graph(ball: CubeBall) -> Graph:
     engine = ball.engine
     witnesses = enumerate_apartments(ball)
     labels = [f"a{i}" for i in range(len(witnesses))]
+    inverses = [engine.inv(w) for w in witnesses]
     edges = []
     for i, j in itertools.combinations(range(len(witnesses)), 2):
-        diff = engine.mul(engine.inv(witnesses[i]), witnesses[j])
+        diff = engine.mul(inverses[i], witnesses[j])
         cls = classify_with_engine(engine, diff)
         if not cls.is_empty():
             edges.append([labels[i], labels[j]])

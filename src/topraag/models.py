@@ -181,6 +181,7 @@ class FiniteModel(BaseModel):
         self.phiO = frozenset(self.phi_table.values())
         if len(self.phiO) != len(self.O):
             raise ModelError("phi is not injective")
+        self._automorphic = self.phiO == self.O
         self.phi_inv_table = {v: w for w, v in self.phi_table.items()}
         self._R = self._right_transversal(coset_reps)
         # u = omega * r for every omega in O and r in R, each u once
@@ -289,7 +290,7 @@ class FiniteModel(BaseModel):
 
     @property
     def is_automorphic(self):
-        return self.phiO == self.O
+        return self._automorphic
 
     @property
     def is_shrinking(self):
@@ -368,6 +369,14 @@ class ShiftModel(BaseModel):
 
     def left_transversal(self, k: int):
         return tuple(range(self.m**k))
+
+    def left_split(self, u, sign):
+        # the base scan in closed form: u = (u mod m) + m * conj for sign +1,
+        # and U/O has the one representative 0
+        if sign == 1:
+            rep = u % self.m
+            return rep, (u - rep) // self.m
+        return 0, self.m * u
 
     def index_O(self):
         return 1
@@ -517,11 +526,11 @@ def model_from_config(cfg: dict) -> BaseModel:
 
     def need_int(key):
         value = need(key)
-        try:
-            return int(value)
-        except (TypeError, ValueError):
-            msg = f"{kind} model field {key!r} must be an integer, got {value!r}"
-            raise ModelError(msg) from None
+        # JSON integers only: int() would truncate 2.9 and parse "3", and
+        # bool is a subclass of int
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ModelError(f"{kind} model field {key!r} must be an integer, got {value!r}")
+        return value
 
     def need_perms(key):
         value = need(key)

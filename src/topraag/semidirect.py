@@ -15,7 +15,7 @@ against the one-letter HNN of U (see ``britton`` and the test suite).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from . import words as W
 from .errors import DisconnectedGraph, RegimeMismatch
@@ -26,10 +26,14 @@ from .elements import Engine, gen_token, u_token
 
 @dataclass(frozen=True)
 class SemidirectElement:
-    """n * a with n a reduced pair in the normal closure and a canonical."""
+    """n * a with n a reduced pair in the normal closure and a canonical.
+
+    e is the exponent of a, carried so that no operation re-sums the word;
+    every constructor sets it, and it takes no part in equality."""
 
     n: NPair
     a: W.Word
+    e: int = field(compare=False)
 
 
 class SemidirectEngine(Engine):
@@ -41,20 +45,29 @@ class SemidirectEngine(Engine):
         if not graph.is_connected():
             raise DisconnectedGraph("semidirect engine needs a connected graph")
         super().__init__(model, graph)
+        # (a, gen, sign) -> canonical a gen^sign.  The Artin parts of a ball's
+        # elements come from a small Artin ball, so one-letter products repeat;
+        # a miss pays the word layer's checks and caps.
+        self._letter_products = {}
 
     def identity(self):
-        return SemidirectElement(NPair(0, 0), ())
+        return SemidirectElement(NPair(0, 0), (), 0)
 
     def make(self, n: NPair, a: W.Word) -> SemidirectElement:
-        return SemidirectElement(self.model.reduce_pair(n.k, n.u), W.normal_form(self.graph, a))
+        a = W.normal_form(self.graph, a)
+        return SemidirectElement(self.model.reduce_pair(n.k, n.u), a, W.exponent(a))
 
     def mul_token(self, g, token):
         m = self.model
         if token[0] == "u":
-            shifted = m.pair_shift(m.pair_of_u(token[1]), W.exponent(g.a))
-            return SemidirectElement(m.pair_mul(g.n, shifted), g.a)
+            shifted = m.pair_shift(m.pair_of_u(token[1]), g.e)
+            return SemidirectElement(m.pair_mul(g.n, shifted), g.a, g.e)
         _, gen, sign = token
-        return SemidirectElement(g.n, W.multiply(self.graph, g.a, W.single(gen, sign)))
+        key = (g.a, gen, sign)
+        a = self._letter_products.get(key)
+        if a is None:
+            a = self._letter_products[key] = W.multiply(self.graph, g.a, W.single(gen, sign))
+        return SemidirectElement(g.n, a, g.e + sign)
 
     def tokens(self, g):
         # (k, u) * a spelled t^-k u t^k a: every generator conjugates the
@@ -75,9 +88,9 @@ class SemidirectEngine(Engine):
         # s^e U s^-e with e the common exponent; g = rep * u with
         # a u a^-1 = n - n'
         m = self.model
-        e = W.exponent(g.a)
-        rep = m.pair_mod(g.n, e)
-        return SemidirectElement(rep, g.a), m.pair_shift(m.pair_mul(g.n, m.pair_inv(rep)), -e).u
+        rep = m.pair_mod(g.n, g.e)
+        u = m.pair_shift(m.pair_mul(g.n, m.pair_inv(rep)), -g.e).u
+        return SemidirectElement(rep, g.a, g.e), u
 
     def apartment_key(self, n):
         # the pointwise stabiliser of the base apartment is trivial here
@@ -99,22 +112,22 @@ class SemidirectEngine(Engine):
     # O(1) on the pair: overrides of the derived operations
     def mul(self, g, h):
         m = self.model
-        conj = m.pair_shift(h.n, W.exponent(g.a))
-        return SemidirectElement(m.pair_mul(g.n, conj), W.multiply(self.graph, g.a, h.a))
+        conj = m.pair_shift(h.n, g.e)
+        return SemidirectElement(m.pair_mul(g.n, conj), W.multiply(self.graph, g.a, h.a), g.e + h.e)
 
     def inv(self, g):
         m = self.model
-        n_inv = m.pair_shift(m.pair_inv(g.n), -W.exponent(g.a))
-        return SemidirectElement(n_inv, W.invert(self.graph, g.a))
+        n_inv = m.pair_shift(m.pair_inv(g.n), -g.e)
+        return SemidirectElement(n_inv, W.invert(self.graph, g.a), -g.e)
 
     def exponent(self, g):
-        return W.exponent(g.a)
+        return g.e
 
     def a_part(self, g):
         return g.a
 
     def n_part(self, g):
-        return SemidirectElement(g.n, ())
+        return SemidirectElement(g.n, (), 0)
 
 
 def epsilon_latitude(model: ShiftModel, n: NPair):

@@ -142,12 +142,20 @@ def test_negative_number_exit_2(capsys, args, option):
     "model, message",
     [
         ({"kind": "shift", "m": "x"}, "shift model field 'm' must be an integer, got 'x'"),
+        ({"kind": "shift", "m": 2.9}, "shift model field 'm' must be an integer, got 2.9"),
+        ({"kind": "shift", "m": "3"}, "shift model field 'm' must be an integer, got '3'"),
+        ({"kind": "shift", "m": True}, "shift model field 'm' must be an integer, got True"),
+        (
+            {"kind": "finite", "degree": 3.0, "U_gens": [], "O_gens": [], "phi_images": []},
+            "finite model field 'degree' must be an integer, got 3.0",
+        ),
         (
             {"kind": "finite", "degree": 3, "U_gens": 5, "O_gens": [], "phi_images": []},
             "finite model field 'U_gens' must be a list of integer lists, got 5",
         ),
     ],
-    ids=["m-not-an-integer", "generators-not-a-list"],
+    ids=["m-not-an-integer", "m-float", "m-string", "m-bool", "degree-float",
+         "generators-not-a-list"],
 )
 def test_malformed_model_field_exit_2(tmp_path, capsys, model, message):
     bad = tmp_path / "model.json"

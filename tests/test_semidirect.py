@@ -9,11 +9,13 @@ import pytest
 
 from topraag import words as W
 from topraag.britton import bs_word_reduce, bs_words_equal
+from topraag.complexes import build_ball
 from topraag.errors import RegimeMismatch
 from topraag.graphs import cycle_graph, edge_graph, path_graph, single_vertex, validate_graph
-from topraag.models import NPair, ShiftModel
+from topraag.models import BaseModel, NPair, ShiftModel
 from topraag.elements import engine_for, gen_token, parse_tokens, u_token
 from topraag.semidirect import (
+    SemidirectElement,
     SemidirectEngine,
     epsilon_latitude,
     random_semidirect_tokens,
@@ -207,3 +209,58 @@ def test_coset_rep_identifies_cosets():
         assert eng.coset_key(g) == eng.coset_key(h)
         moved = eng.mul(g, eng.from_tokens((gen_token("s", 1),)))
         assert eng.coset_key(moved) != eng.coset_key(g)
+
+
+@pytest.mark.parametrize("m", [2, 3, 5])
+def test_shift_left_split_is_the_base_scan(m):
+    model = ShiftModel(m)
+    for u in range(-3 * m, 3 * m + 1):
+        for sign in (1, -1):
+            assert model.left_split(u, sign) == BaseModel.left_split(model, u, sign)
+
+
+@pytest.mark.parametrize(
+    "model, graph", [(SM2, EDGE), (ShiftModel(3), path_graph("pqr"))], ids=["shift2", "shift3"]
+)
+def test_letter_products_agree_with_the_word_layer(monkeypatch, model, graph):
+    # one engine over many words, so one-letter products repeat: every
+    # generator token gives the product computed without the engine's cache,
+    # and the word layer multiplies each distinct (a, letter) once
+    multiply = W.multiply
+    asked = []
+
+    def counted(g, w1, w2):
+        asked.append((w1, w2))
+        return multiply(g, w1, w2)
+
+    monkeypatch.setattr(W, "multiply", counted)
+    eng = SemidirectEngine(model, graph)
+    rng = random.Random(f"letters-{model.m}")
+    probes = 0
+    for _ in range(300):
+        g = eng.identity()
+        for tok in random_semidirect_tokens(model, graph, rng, rng.randint(0, 10)):
+            h = eng.mul_token(g, tok)
+            if tok[0] == "gen":
+                probes += 1
+                a = multiply(graph, g.a, W.single(tok[1], tok[2]))
+                assert h == SemidirectElement(g.n, a, W.exponent(a))
+            assert h.e == W.exponent(h.a)
+            g = h
+    assert len(asked) == len(set(asked)) < probes
+
+
+@pytest.mark.parametrize(
+    "model, graph, radius",
+    [(ShiftModel(3), path_graph("pqr"), 3), (SM2, EDGE, 5)],
+    ids=["path3-shift3-r3", "edge-shift2-r5"],
+)
+def test_carried_exponent_is_the_word_exponent(model, graph, radius):
+    ball = build_ball(model, graph, radius)
+    eng = ball.engine
+    elems = list(ball.vertex_reps) + [c.gelem for c in ball.cubes]
+    for g, h in zip(elems, elems[1:] + elems[:1]):
+        made = (g, eng.mul(g, h), eng.inv(g), eng.coset_split(g)[0], eng.n_part(g),
+                eng.make(g.n, g.a), eng.identity())
+        for x in made:
+            assert x.e == W.exponent(x.a) == eng.exponent(x)
