@@ -182,7 +182,7 @@ def main(argv=None) -> int:
     try:
         _require_non_negative(args)
         return args.func(args)
-    except (ConfigError, FileNotFoundError, json.JSONDecodeError) as exc:
+    except (ConfigError, OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except (RegimeMismatch, ToolkitError) as exc:

@@ -609,5 +609,4 @@ def nerve_graph(ball: CubeBall) -> Graph:
 
 def export_ball(ball: CubeBall, path):
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(ball.to_json(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(json.dumps(ball.to_json(), indent=2, sort_keys=True) + "\n")

@@ -15,26 +15,19 @@ from fractions import Fraction
 from .errors import EmptyWindow, NonClosedComplex
 
 class SparseMatrix:
-    """Integer matrix as row -> {col: value} with a column index."""
+    """Integer matrix as row -> {col: value}."""
 
     def __init__(self, nrows: int, ncols: int):
         self.nrows = nrows
         self.ncols = ncols
         self.rows: dict[int, dict[int, int]] = {}
-        self.cols: dict[int, set[int]] = {}
 
     def set(self, i: int, j: int, v: int):
         row = self.rows.setdefault(i, {})
-        if v == 0:
-            if j in row:
-                del row[j]
-                self.cols[j].discard(i)
-        else:
+        if v:
             row[j] = v
-            self.cols.setdefault(j, set()).add(i)
-
-    def add(self, i: int, j: int, v: int):
-        self.set(i, j, self.rows.get(i, {}).get(j, 0) + v)
+        else:
+            row.pop(j, None)
 
     def get(self, i: int, j: int) -> int:
         return self.rows.get(i, {}).get(j, 0)
@@ -374,23 +367,27 @@ def chain_complex(cells) -> ChainComplex:
     """Cellular chain complex of a cube collection.
 
     ``cells`` is a CubeBall or an iterable of (dim, ctype, corners) with
-    corners indexed by subset bitmask.  The boundary of a d-cube is the
-    signed sum over coordinates of (upper face - lower face), sign (-1)^i.
-    Each degree's cells are ordered colexicographically, largest corner
-    first, so for every n the cells on vertex ids < n come first in every
-    degree: the full subcomplex on an id prefix is a column prefix.
-    Raises NonClosedComplex when a face is missing.
+    corners indexed by subset bitmask.  A cell is named by its corner tuple,
+    and every face must be stored under its induced tuple: the corners of
+    the face in sub-mask order, as every cube producer in topraag emits them
+    (corners by mask from the cube's least-exponent corner).  The boundary
+    of a d-cube is the signed sum over coordinates of (upper face - lower
+    face), sign (-1)^i.  Duplicate tuples are dropped.  Each degree's cells
+    are ordered colexicographically, largest corner first, so for every n
+    the cells on vertex ids < n come first in every degree: the full
+    subcomplex on an id prefix is a column prefix.  Raises NonClosedComplex
+    when a face is not stored under its induced tuple.
     """
     records = cells.cells_for_homology() if hasattr(cells, "cells_for_homology") else list(cells)
-    index: dict[tuple[int, frozenset], int] = {}
+    index: dict[tuple, int] = {}
     stored: dict[int, list[tuple]] = {}
     for dim, ctype, corners in sorted(records, key=lambda r: (r[0], sorted(r[2], reverse=True))):
-        key = (dim, frozenset(corners))
-        if key in index:
+        corners = tuple(corners)
+        if corners in index:
             continue
         column = stored.setdefault(dim, [])
-        index[key] = len(column)
-        column.append(tuple(corners))
+        index[corners] = len(column)
+        column.append(corners)
     per_dim = {d: len(column) for d, column in stored.items()}
     boundaries = {}
     for dim in range(1, max(per_dim, default=0) + 1):
@@ -400,13 +397,13 @@ def chain_complex(cells) -> ChainComplex:
                 sign = (-1) ** i
                 lower, upper = _face_corner_tuples(corners, dim, i)
                 for face, fsign in ((upper, sign), (lower, -sign)):
-                    row = index.get((dim - 1, frozenset(face)))
+                    row = index.get(face)
                     if row is None:
                         raise NonClosedComplex(
-                            f"missing {dim - 1}-face of a {dim}-cube: {sorted(face)}"
+                            f"{dim - 1}-face {face} of the {dim}-cube {corners} is not a stored "
+                            "cell; faces must be stored in induced sub-mask order"
                         )
-                    orient = _relative_orientation(stored[dim - 1][row], face)
-                    bd.add(row, col, fsign * orient)
+                    bd.set(row, col, fsign)
     return ChainComplex(boundaries, per_dim, stored)
 
 
@@ -420,57 +417,6 @@ def _face_corner_tuples(corners, dim, axis):
         else:
             lower.append(corners[mask])
     return tuple(lower), tuple(upper)
-
-
-def _relative_orientation(stored: tuple, induced: tuple) -> int:
-    """Orientation of one corner-indexing of a cube against another.
-
-    Both tuples index the same vertex set by {0,1}^d bitmasks.  The transition
-    is a hypercube symmetry X -> pi(X xor c); its orientation is the parity of
-    the axis permutation pi times (-1)^popcount(c).  Raw cell lists may orient
-    shared faces arbitrarily, so this factor keeps dd = 0.
-    """
-    if stored == induced:
-        return 1
-    d = (len(stored) - 1).bit_length()
-    pos = {v: mask for mask, v in enumerate(stored)}
-    c = pos[induced[0]]
-    perm = []
-    for i in range(d):
-        image = pos[induced[1 << i]] ^ c
-        if image.bit_count() != 1:
-            raise NonClosedComplex("face vertex sets do not match a cube symmetry")
-        perm.append(image.bit_length() - 1)
-    # verify the remaining corners agree with the inferred symmetry
-    for mask in range(1 << d):
-        mapped = 0
-        for i in range(d):
-            if (mask >> i) & 1:
-                mapped |= 1 << perm[i]
-        if pos[induced[mask]] != mapped ^ c:
-            raise NonClosedComplex("face vertex sets do not match a cube symmetry")
-    sign = -1 if _permutation_parity(perm) else 1
-    if c.bit_count() % 2:
-        sign = -sign
-    return sign
-
-
-def _permutation_parity(perm) -> bool:
-    """True for odd permutations."""
-    seen = [False] * len(perm)
-    odd = False
-    for i in range(len(perm)):
-        if seen[i]:
-            continue
-        j = i
-        length = 0
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            length += 1
-        if length % 2 == 0:
-            odd = not odd
-    return odd
 
 
 @dataclass
@@ -509,6 +455,7 @@ def reduced_homology(cc: ChainComplex) -> HomologyResult:
 
 
 def homology_of_cells(cells) -> HomologyResult:
+    """Reduced homology of a cube collection, given as for chain_complex."""
     return reduced_homology(chain_complex(cells))
 
 
@@ -572,7 +519,7 @@ def simplicial_chain_complex(simplices) -> ChainComplex:
             face = s[:i] + s[i + 1 :]
             if face not in index:
                 raise NonClosedComplex(f"missing face {face} of simplex {s}")
-            boundaries[d].add(index[face], col, (-1) ** i)
+            boundaries[d].set(index[face], col, (-1) ** i)
     cc = ChainComplex(boundaries, per_dim)
     return cc
 
@@ -600,10 +547,16 @@ def persistent_reduced_betti(small, big, degree: int) -> int:
         rank im = rank [dB_{k+1} | E_A] - rank dA_k - rank dB_{k+1}
 
     where E_A is the coordinate inclusion of the k-cells of A into those of
-    B (unit columns on the first rows) and dA_0 means the augmentation row.
-    The last two ranks are the ones each complex already keeps from its
-    homology, so only the stacked matrix needs a new Smith normal form.
-    Raises NonClosedComplex when A's k-cells are not a prefix of B's.
+    B (unit columns on the first a rows) and dA_0 means the augmentation
+    row.  The unit columns clear those a rows, so
+
+        rank [dB_{k+1} | E_A] = a + rank dB_{k+1}(B, A)
+
+    with dB_{k+1}(B, A) the relative boundary into C_k(B, A): dB_{k+1}
+    without its first a rows.  The last two ranks are the ones each complex
+    already keeps from its homology, so only the relative boundary needs a
+    new Smith normal form.  Raises NonClosedComplex when A's k-cells are
+    not a prefix of B's.
     """
     ccA = small if isinstance(small, ChainComplex) else chain_complex(small)
     ccB = big if isinstance(big, ChainComplex) else chain_complex(big)
@@ -611,14 +564,11 @@ def persistent_reduced_betti(small, big, degree: int) -> int:
     a_cells = ccA.cells.get(k, [])
     if ccB.cells.get(k, [])[: len(a_cells)] != a_cells:
         raise NonClosedComplex("small complex is not a prefix of the big one")
-    cols_dB = ccB.counts.get(k + 1, 0)
-    stacked = SparseMatrix(ccB.counts.get(k, 0), cols_dB + len(a_cells))
+    a = len(a_cells)
+    relative = SparseMatrix(ccB.counts.get(k, 0) - a, ccB.counts.get(k + 1, 0))
     if k + 1 in ccB.boundaries:
-        for i, j, v in ccB.boundaries[k + 1].entries():
-            stacked.set(i, j, v)
-    for i in range(len(a_cells)):
-        stacked.set(i, cols_dB + i, 1)
-    return snf_rank(stacked) - ccA.snf(k).rank - ccB.snf(k + 1).rank
+        relative.rows = {i - a: row for i, row in ccB.boundaries[k + 1].rows.items() if i >= a}
+    return a + snf_rank(relative) - ccA.snf(k).rank - ccB.snf(k + 1).rank
 
 
 def valley_homology_report(graph, latitude: int, word_radius: int, **caps) -> dict:

@@ -165,6 +165,33 @@ def test_malformed_model_field_exit_2(tmp_path, capsys, model, message):
     assert capsys.readouterr().err == f"config error: {message}\n"
 
 
+def build_args(graph=CONFIGS / "edge.json", model=CONFIGS / "trivial.json"):
+    return ["build", "--graph", graph, "--model", model]
+
+
+@pytest.mark.parametrize("option", ["graph", "model"])
+def test_config_path_is_a_directory_exit_2(tmp_path, capsys, option):
+    assert_config_error(run_cli(build_args(**{option: tmp_path})), capsys)
+
+
+@pytest.mark.parametrize("option", ["graph", "model"])
+def test_config_file_not_utf8_exit_2(tmp_path, capsys, option):
+    bad = tmp_path / "latin1.json"
+    bad.write_bytes('{"vertices": ["é"]}'.encode("latin-1"))
+    assert_config_error(run_cli(build_args(**{option: bad})), capsys)
+
+
+@pytest.mark.parametrize(
+    "args",
+    [["build", "--radius", "1"], ["homology", "--valley", "0", "--window", "1"]],
+    ids=["build", "homology-valley"],
+)
+def test_out_path_is_a_directory_exit_2(tmp_path, capsys, args):
+    code = run_cli(args + ["--graph", CONFIGS / "edge.json", "--model", CONFIGS / "trivial.json",
+                           "--out", tmp_path])
+    assert_config_error(code, capsys)
+
+
 def test_build_without_model_exit_2(capsys):
     code = run_cli(["build", "--graph", CONFIGS / "edge.json"])
     assert_config_error(code, capsys)

@@ -133,6 +133,27 @@ def test_chordal_against_bruteforce_small():
             assert is_chordal(g)[0] == brute_force_chordal(g), edges
 
 
+def test_chordal_against_networkx():
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(3)
+    verdicts = set()
+    for _ in range(400):
+        verts = [f"v{i}" for i in range(rng.randint(1, 12))]
+        density = rng.choice((0.2, 0.4, 0.6, 0.8, 0.95))
+        edges = [list(p) for p in itertools.combinations(verts, 2) if rng.random() < density]
+        nxg = nx.Graph()
+        nxg.add_nodes_from(verts)
+        nxg.add_edges_from(edges)
+        ok, witness = is_chordal(validate_graph({"vertices": verts, "edges": edges}))
+        assert ok == nx.is_chordal(nxg), edges
+        if not ok:
+            assert len(witness) >= 4 and nx.is_isomorphic(
+                nxg.subgraph(witness), nx.cycle_graph(len(witness))
+            ), (edges, witness)
+        verdicts.add(ok)
+    assert verdicts == {True, False}
+
+
 def test_chordal_witness_is_induced_cycle():
     g = cycle_graph("abcdef")
     ok, cyc = is_chordal(g)

@@ -5,8 +5,9 @@ import signal
 
 import pytest
 
+import oracles
 from topraag.errors import EmptyWindow, NonClosedComplex
-from topraag.graphs import complete_graph, cycle_graph, edge_graph, path_graph
+from topraag.graphs import complete_graph, cycle_graph, edge_graph, path_graph, single_vertex
 from topraag.models import ShiftModel, TrivialModel, s3_a3_model
 from topraag.complexes import build_ball, valley_cells
 from topraag.homology import (
@@ -173,20 +174,44 @@ def test_mod2_betti_detects_torsion():
     assert dim_h1_mod2 == res.betti[1] + 1  # torsion contributes once
 
 
-def test_chain_complex_squares():
-    cells = [(0, (), (i,)) for i in range(4)] + [
-        (1, ("x",), (0, 1)),
-        (1, ("x",), (1, 2)),
-        (1, ("x",), (2, 3)),
-        (1, ("x",), (3, 0)),
-    ]
-    cc = chain_complex(cells)
+# The square (0, 1, 3, 2) has the induced faces (0, 1), (1, 2), (3, 2) and
+# (0, 3); the cyclic circle stores the last two as (2, 3) and (3, 0), so
+# only the orientation-search oracle accepts it with the square attached.
+CYCLIC_CIRCLE = [(0, (), (i,)) for i in range(4)] + [
+    (1, ("x",), (0, 1)),
+    (1, ("x",), (1, 2)),
+    (1, ("x",), (2, 3)),
+    (1, ("x",), (3, 0)),
+]
+INDUCED_CIRCLE = [(0, (), (i,)) for i in range(4)] + [
+    (1, ("x",), (0, 1)),
+    (1, ("x",), (1, 2)),
+    (1, ("x",), (3, 2)),
+    (1, ("x",), (0, 3)),
+]
+SQUARE = (2, ("x", "y"), (0, 1, 3, 2))
+
+
+def assert_circle_and_square(build, circle):
+    cc = build(circle)
     assert cc.counts == {0: 4, 1: 4}
     res = reduced_homology(cc)
     assert res.betti == {0: 0, 1: 1}
-    filled = cells + [(2, ("x", "y"), (0, 1, 3, 2))]
-    res2 = reduced_homology(chain_complex(filled))
+    res2 = reduced_homology(build(circle + [SQUARE]))
     assert all(v == 0 for v in res2.betti.values())
+
+
+def test_chain_complex_squares():
+    assert_circle_and_square(chain_complex, INDUCED_CIRCLE)
+
+
+def test_oracle_chain_complex_squares_cyclic():
+    assert_circle_and_square(oracles.chain_complex, CYCLIC_CIRCLE)
+
+
+def test_chain_complex_rejects_a_face_not_in_induced_order():
+    with pytest.raises(NonClosedComplex, match=r"\(0, 3\).*induced sub-mask order"):
+        chain_complex(CYCLIC_CIRCLE + [SQUARE])
 
 
 def test_chain_complex_three_cube():
@@ -195,9 +220,11 @@ def test_chain_complex_three_cube():
     cubes3 = [c for c in ball.cubes if c.dim == 3]
     assert cubes3
     cc = chain_complex(ball)
-    assert cc.boundaries[3].cols and all(
-        len(cc.boundaries[3].cols[j]) == 6 for j in cc.boundaries[3].cols
-    )
+    per_column = {}
+    for row in cc.boundaries[3].rows.values():
+        for j in row:
+            per_column[j] = per_column.get(j, 0) + 1
+    assert len(per_column) == cc.counts[3] and all(n == 6 for n in per_column.values())
     res = reduced_homology(cc)
     assert all(v == 0 for v in res.betti.values())
     assert all(not t for t in res.torsion.values())
@@ -278,18 +305,17 @@ def test_persistence_identity_inclusion():
 
 
 def test_persistence_cycle_dies_in_disc():
-    circle = [(0, (), (i,)) for i in range(4)] + [
-        (1, ("x",), (0, 1)),
-        (1, ("x",), (1, 2)),
-        (1, ("x",), (2, 3)),
-        (1, ("x",), (3, 0)),
-    ]
-    disc = circle + [(2, ("x", "y"), (0, 1, 3, 2))]
-    assert persistent_reduced_betti(circle, disc, 1) == 0
+    assert persistent_reduced_betti(INDUCED_CIRCLE, INDUCED_CIRCLE + [SQUARE], 1) == 0
     # two components merging kill the extra H0 class
     two = [(0, (), (0,)), (0, (), (1,))]
     joined = two + [(1, ("x",), (0, 1))]
     assert persistent_reduced_betti(two, joined, 0) == 0
+
+
+def test_oracle_persistence_cycle_dies_in_disc_cyclic():
+    circle = oracles.chain_complex(CYCLIC_CIRCLE)
+    disc = oracles.chain_complex(CYCLIC_CIRCLE + [SQUARE])
+    assert persistent_reduced_betti(circle, disc, 1) == 0
 
 
 def test_persistence_rejects_a_small_complex_that_is_not_a_prefix():
@@ -370,6 +396,41 @@ def test_valley_connectivity_matches_clique_complex():
         pers = rep["persistent_reduced_betti"]
         assert (pers["0"] == 0) == lg.is_zero(0)
         assert (pers["1"] == 0) == (lg.is_zero(0) and lg.is_zero(1))
+
+
+DIFF_GRAPHS = {
+    "c4": cycle_graph("abcd"),
+    "edge": edge_graph(),
+    "k3": complete_graph("abc"),
+    "path3": path_graph("pqr"),
+    "point": single_vertex("s"),
+}
+
+
+def assert_same_chain_complex(cells):
+    got, want = chain_complex(cells), oracles.chain_complex(cells)
+    assert got.counts == want.counts
+    assert got.cells == want.cells
+    assert got.boundaries.keys() == want.boundaries.keys()
+    for d, bd in got.boundaries.items():
+        assert bd.rows == want.boundaries[d].rows, d
+
+
+@pytest.mark.parametrize("name", sorted(DIFF_GRAPHS))
+def test_chain_complex_matches_oracle_on_balls(name):
+    for model in (TrivialModel(), ShiftModel(2), ShiftModel(3), s3_a3_model()):
+        for r in range(4):
+            assert_same_chain_complex(build_ball(model, DIFF_GRAPHS[name], r))
+
+
+@pytest.mark.parametrize("name", sorted(DIFF_GRAPHS))
+def test_chain_complex_matches_oracle_on_valley_windows(name):
+    # each window as valley_homology_report builds it, word radius 1 to 6
+    for latitude in (-1, 0, 1):
+        for word_radius in range(6):
+            e_range = (latitude - word_radius - 2, latitude)
+            _, cubes = valley_cells(DIFF_GRAPHS[name], latitude, e_range, word_radius + 1)
+            assert_same_chain_complex(cubes)
 
 
 def test_dd_zero_on_generated_complexes():
