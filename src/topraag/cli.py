@@ -34,6 +34,14 @@ def _emit(report: dict, out_path):
         print(text)
 
 
+def _load(loader, path):
+    """loader(path), with a file that is not UTF-8 JSON named in the error."""
+    try:
+        return loader(path)
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ConfigError(f"{path}: {exc}") from None
+
+
 def _require(args, *options):
     """Raise a ConfigError naming the required options left unset."""
     missing = [f"--{name}" for name in options if getattr(args, name) is None]
@@ -50,8 +58,8 @@ def _require_non_negative(args):
 
 def cmd_build(args) -> int:
     _require(args, "graph", "model")
-    graph = graph_from_json(args.graph)
-    model = model_from_json(args.model)
+    graph = _load(graph_from_json, args.graph)
+    model = _load(model_from_json, args.model)
     ball = build_ball(
         model, graph, args.radius, vertex_cap=args.cap_vertices, cube_cap=args.cap_cubes
     )
@@ -76,8 +84,8 @@ def cmd_build(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    graph = graph_from_json(args.graph) if args.graph else None
-    model = model_from_json(args.model) if args.model else None
+    graph = _load(graph_from_json, args.graph) if args.graph else None
+    model = _load(model_from_json, args.model) if args.model else None
     rng = random.Random(args.seed)
     report = verification.run_suite(
         args.suite,
@@ -101,15 +109,15 @@ def cmd_homology(args) -> int:
     if args.valley is not None:
         _require(args, "graph")
         report = valley_homology_report(
-            graph_from_json(args.graph), args.valley, args.window,
+            _load(graph_from_json, args.graph), args.valley, args.window,
             vertex_cap=args.cap_vertices, cube_cap=args.cap_cubes,
         )
         report["command"] = "homology"
         _emit(report, args.out)
         return 0
     _require(args, "graph", "model")
-    graph = graph_from_json(args.graph)
-    model = model_from_json(args.model)
+    graph = _load(graph_from_json, args.graph)
+    model = _load(model_from_json, args.model)
     ball = build_ball(
         model, graph, args.radius, vertex_cap=args.cap_vertices, cube_cap=args.cap_cubes
     )
@@ -182,7 +190,7 @@ def main(argv=None) -> int:
     try:
         _require_non_negative(args)
         return args.func(args)
-    except (ConfigError, OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except (RegimeMismatch, ToolkitError) as exc:

@@ -7,7 +7,9 @@ Regimes and engines
   (u0, a1, u1, ..., an, un) with the a_i nontrivial canonical Artin words and
   u1..u_{n-1} nontrivial right-coset representatives; left multiplication by
   a generator letter rewrites the sequence through a three-case rule and
-  to_normal_sequence folds a word letter by letter.
+  to_normal_sequence folds a word letter by letter (the reference).  The
+  engine multiplies on the right, pushing a U-remainder left through the
+  pairs by a w = phi^{e(a)}(w) a for w in O, and acts by whole blocks.
 * O = U with phi shrinking and the graph connected: see ``semidirect``.
 * edgeless graphs over any model: see ``britton``.
 
@@ -74,6 +76,59 @@ def base_sequence(model: BaseModel, u=None) -> NormalSequence:
     return NormalSequence(model.identity() if u is None else u, ())
 
 
+def _phi_power(model: BaseModel, e: int, w):
+    """phi^e(w) for w in O; phi is an automorphism of O in this regime."""
+    step = model.phi if e > 0 else model.phi_inv
+    for _ in range(abs(e)):
+        w = step(w)
+    return w
+
+
+def _left_block(model: BaseModel, g: Graph, a: W.Word, e: int, seq: NormalSequence) -> NormalSequence:
+    """a * seq for a nonempty canonical Artin word a of exponent e: with
+    head = omega u_hat, a omega = phi^e(omega) a, and a merges into the
+    first block only when u_hat is trivial."""
+    omega, u_hat = model.decompose(seq.head)
+    head = _phi_power(model, e, omega)
+    if not seq.tail or u_hat != model.identity():
+        return NormalSequence(head, ((a, u_hat),) + seq.tail)
+    (a1, u1), rest = seq.tail[0], seq.tail[1:]
+    merged = W.multiply(g, a, a1)
+    if not merged:
+        return NormalSequence(model.mul(head, u1), rest)
+    return NormalSequence(head, ((merged, u1),) + rest)
+
+
+def _right_u(model: BaseModel, seq: NormalSequence, u) -> NormalSequence:
+    """seq * u for u in U.  The remainder c moves left through each pair:
+    u_i c = omega r, and a_i omega = phi^{e(a_i)}(omega) a_i.  A non-final
+    u_i is a nontrivial representative, so u_i c is not in O and blocks
+    never merge."""
+    ident = model.identity()
+    tail = list(seq.tail)
+    c, i = u, len(tail)
+    while i and c != ident:
+        i -= 1
+        a, r = tail[i]
+        omega, r = model.decompose(model.mul(r, c))
+        tail[i] = (a, r)
+        c = _phi_power(model, W.exponent(a), omega)
+    return NormalSequence(model.mul(seq.head, c), tuple(tail))
+
+
+def _right_letter(model: BaseModel, g: Graph, seq: NormalSequence, gen: str, sign: int) -> NormalSequence:
+    """seq * gen^sign: a new pair after a nontrivial last representative,
+    else one multiply into the last block, dropping the pair if it cancels."""
+    if gen not in g._adj:
+        raise UnknownGenerator(f"{gen!r} is not a vertex of the graph")
+    ident = model.identity()
+    tail = seq.tail
+    if not tail or tail[-1][1] != ident:
+        return NormalSequence(seq.head, tail + ((W.single(gen, sign), ident),))
+    merged = W.multiply(g, tail[-1][0], W.single(gen, sign))
+    return NormalSequence(seq.head, tail[:-1] + (((merged, ident),) if merged else ()))
+
+
 def act_letter(model: BaseModel, g: Graph, token: Token, seq: NormalSequence) -> NormalSequence:
     """Left multiplication of a normal sequence by one letter."""
     if not model.is_automorphic:
@@ -83,18 +138,7 @@ def act_letter(model: BaseModel, g: Graph, token: Token, seq: NormalSequence) ->
     _, gen, sign = token
     if gen not in g._adj:
         raise UnknownGenerator(f"{gen!r} is not a vertex of the graph")
-    omega, u_hat = model.decompose(seq.head)
-    phi_pow = model.phi if sign == 1 else model.phi_inv
-    ident = model.identity()
-    letter = W.single(gen, sign)
-    if seq.length == 0 or u_hat != ident:
-        return NormalSequence(phi_pow(omega), ((letter, u_hat),) + seq.tail)
-    a1, u1 = seq.tail[0]
-    rest = seq.tail[1:]
-    if a1 == W.single(gen, -sign):
-        return NormalSequence(model.mul(phi_pow(seq.head), u1), rest)
-    merged = W.multiply(g, letter, a1)
-    return NormalSequence(phi_pow(seq.head), ((merged, u1),) + rest)
+    return _left_block(model, g, W.single(gen, sign), sign, seq)
 
 
 def act_word(model: BaseModel, g: Graph, tokens, seq: NormalSequence) -> NormalSequence:
@@ -249,7 +293,9 @@ class AutomorphicEngine(Engine):
         return base_sequence(self.model)
 
     def mul_token(self, a, token):
-        return act_word(self.model, self.graph, word_of(a), self.from_tokens((token,)))
+        if token[0] == "u":
+            return _right_u(self.model, a, token[1])
+        return _right_letter(self.model, self.graph, a, token[1], token[2])
 
     def tokens(self, a):
         return word_of(a)
@@ -263,14 +309,14 @@ class AutomorphicEngine(Engine):
 
     def coset_split(self, a):
         # the least key over aU; a = (a u) * u^-1
-        cands = ((self.mul(a, base_sequence(self.model, u)), u) for u in self._U)
+        cands = ((_right_u(self.model, a, u), u) for u in self._U)
         rep, u = min(cands, key=lambda c: self.key(c[0]))
         return rep, self.model.inv(u)
 
     def apartment_key(self, n):
         # apartments n*Sigma0 = n'*Sigma0 iff n^-1 n' lies in the pointwise
         # stabiliser of the base apartment, which is O here
-        return min(self.key(self.mul(n, base_sequence(self.model, w))) for w in self._O)
+        return min(self.key(_right_u(self.model, n, w)) for w in self._O)
 
     def format(self, a):
         m = self.model
@@ -280,13 +326,23 @@ class AutomorphicEngine(Engine):
             parts.append(m.format_u(u))
         return " ".join(parts)
 
-    # Overrides: letters act on the left of a normal sequence, so folding a
-    # word from the right keeps every intermediate sequence short.
-    def from_tokens(self, tokens):
-        return to_normal_sequence(self.model, self.graph, tokens)
-
+    # Overrides: a's blocks act on the left of b whole, with one decompose,
+    # phi power and block multiply each.
     def mul(self, a, b):
-        return act_word(self.model, self.graph, word_of(a), b)
+        m, g = self.model, self.graph
+        for block, u in reversed(a.tail):
+            b = NormalSequence(m.mul(u, b.head), b.tail)
+            b = _left_block(m, g, block, W.exponent(block), b)
+        return NormalSequence(m.mul(a.head, b.head), b.tail)
+
+    def inv(self, a):
+        # a^-1 = un^-1 an^-1 ... u1^-1 a1^-1 u0^-1, folded from the right
+        m, g = self.model, self.graph
+        out = base_sequence(m, m.inv(a.head))
+        for block, u in a.tail:
+            out = _left_block(m, g, W.invert(g, block), -W.exponent(block), out)
+            out = NormalSequence(m.mul(m.inv(u), out.head), out.tail)
+        return out
 
     # A walk at g is the normal sequence of g^-1, where g * token is one
     # letter acting on the left.  U acting on the left changes only the head,

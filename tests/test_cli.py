@@ -58,6 +58,7 @@ def assert_config_error(code, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:") and err.count("\n") == 1
+    return err
 
 
 def test_graph_not_an_object_exit_2(tmp_path, capsys):
@@ -178,7 +179,16 @@ def test_config_path_is_a_directory_exit_2(tmp_path, capsys, option):
 def test_config_file_not_utf8_exit_2(tmp_path, capsys, option):
     bad = tmp_path / "latin1.json"
     bad.write_bytes('{"vertices": ["é"]}'.encode("latin-1"))
-    assert_config_error(run_cli(build_args(**{option: bad})), capsys)
+    err = assert_config_error(run_cli(build_args(**{option: bad})), capsys)
+    assert err.startswith(f"config error: {bad}: 'utf-8' codec can't decode")
+
+
+@pytest.mark.parametrize("option", ["graph", "model"])
+def test_config_file_truncated_json_exit_2(tmp_path, capsys, option):
+    bad = tmp_path / "truncated.json"
+    bad.write_text('{"vertices": ["s"]')
+    err = assert_config_error(run_cli(build_args(**{option: bad})), capsys)
+    assert err.startswith(f"config error: {bad}: Expecting ',' delimiter")
 
 
 @pytest.mark.parametrize(

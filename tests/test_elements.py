@@ -10,7 +10,7 @@ import pytest
 from topraag import words as W
 from topraag.britton import AmalgamNormalizer
 from topraag.errors import RegimeMismatch, RelationViolation
-from topraag.graphs import cycle_graph, edge_graph, edgeless_graph
+from topraag.graphs import cycle_graph, edge_graph, edgeless_graph, path_graph
 from topraag.models import FiniteModel, TrivialModel, perm_from_cycles, perm_identity, s3_a3_model
 from topraag.elements import (
     NormalSequence,
@@ -26,7 +26,9 @@ from topraag.elements import (
     verify_relations,
     word_of,
 )
-from topraag.verification import random_normal_sequence
+from topraag.verification import random_normal_sequence, random_word
+
+from test_engine_contract import F20, INVERSION
 
 EDGE = edge_graph()
 C4 = cycle_graph("abcd")
@@ -129,6 +131,47 @@ def test_round_trip_random_sequences():
         g = rng.choice([EDGE, C4])
         sigma = random_normal_sequence(S3A3, g, rng)
         assert to_normal_sequence(S3A3, g, word_of(sigma)) == sigma
+
+
+@pytest.mark.parametrize(
+    "model, g",
+    [(S3A3, EDGE), (INVERSION, path_graph("pqr")), (F20, C4), (TrivialModel(), C4)],
+    ids=["s3a3-edge", "inversion-path3", "f20-c4", "trivial-c4"],
+)
+def test_engine_arithmetic_matches_left_fold(model, g):
+    # the engine's right action by u and by a letter, block mul and block
+    # inv against the letter-by-letter left fold
+    eng = engine_for(model, g)
+    rng = random.Random(f"left-fold-{model.kind}-{len(g.vertices)}")
+    ident = model.identity()
+    us = sorted(model.U) if hasattr(model, "U") else [ident]
+
+    def draw():
+        # a random Artin word on the left gives the trivial model a tail too
+        letters = tuple(gen_token(t, e) for t, e in random_word(g, rng, max_len=3))
+        return act_word(model, g, letters, random_normal_sequence(model, g, rng))
+
+    right_letter_cases = set()
+    for _ in range(200):
+        a, c = draw(), draw()
+        word = word_of(a)
+        for u in us:
+            assert eng.mul_token(a, u_token(u)) == to_normal_sequence(model, g, word + (u_token(u),))
+        tok = gen_token(rng.choice(g.vertices), rng.choice((1, -1)))
+        if a.tail and a.tail[-1][1] == ident:
+            block = a.tail[-1][0]
+            if rng.random() < 0.5:
+                tok = gen_token(block[-1][0], -block[-1][1])
+            right_letter_cases.add("drop" if block == W.single(tok[1], -tok[2]) else "merge")
+        else:
+            right_letter_cases.add("append")
+        assert eng.mul_token(a, tok) == to_normal_sequence(model, g, word + (tok,))
+        inv_word = invert_tokens(model, word)
+        assert eng.inv(a) == to_normal_sequence(model, g, inv_word)
+        assert eng.mul(a, c) == act_word(model, g, word, c)
+        # every block of a cancels against a^-1
+        assert eng.mul(a, act_word(model, g, inv_word, c)) == c
+    assert right_letter_cases == {"append", "merge", "drop"}
 
 
 def test_regime_mismatch():

@@ -24,19 +24,26 @@ GENERAL = FiniteModel(
 INVERSION = FiniteModel(
     3, S3A3.u_gens, [perm_from_cycles(3, [[0, 1, 2]])], [perm_from_cycles(3, [[0, 2, 1]])]
 )
+# phi = squaring on O = Z5 inside U = F20 <= S5 has order 4, so phi^e,
+# phi^|e| and phi^sign(e) differ on blocks of exponent -1 or 2
+C5 = perm_from_cycles(5, [[0, 1, 2, 3, 4]])
+F20 = FiniteModel(
+    5, [C5, perm_from_cycles(5, [[1, 2, 4, 3]])], [C5], [perm_from_cycles(5, [[0, 2, 4, 1, 3]])]
+)
 ST = edgeless_graph("st")
 
 CASES = [
     ("automorphic", S3A3, edge_graph()),
     ("automorphic", TrivialModel(), cycle_graph("abcd")),
     ("automorphic", INVERSION, edge_graph()),
+    ("automorphic", F20, cycle_graph("abcd")),
     ("semidirect", ShiftModel(2), edge_graph()),
     ("semidirect", ShiftModel(3), path_graph("pqr")),
     ("tree", ShiftModel(2), ST),
     ("tree", GENERAL, ST),
 ]
 IDS = [
-    "s3a3-edge", "trivial-c4", "inversion-edge", "shift2-edge", "shift3-path3", "shift2-st",
+    "s3a3-edge", "trivial-c4", "inversion-edge", "f20-c4", "shift2-edge", "shift3-path3", "shift2-st",
     "general-st",
 ]
 
@@ -128,7 +135,7 @@ def test_engine_contract(regime, model, graph):
 def test_engines_keep_only_cheaper_overrides():
     kept = {eng.regime: overrides(eng) for eng in (engine_for(m, g) for _, m, g in CASES)}
     assert kept == {
-        "automorphic": ["from_tokens", "mul", "coset_key", "walk_token", "coset_name", "walk_split"],
+        "automorphic": ["mul", "inv", "coset_key", "walk_token", "coset_name", "walk_split"],
         "semidirect": ["mul", "inv", "exponent", "a_part", "n_part"],
         "tree": [],
     }
