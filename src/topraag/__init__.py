@@ -20,7 +20,6 @@ from .models import (
     FiniteModel,
     ShiftModel,
     TrivialModel,
-    NPair,
     model_from_config,
     s3_a3_model,
     INFINITE,

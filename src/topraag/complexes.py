@@ -40,7 +40,6 @@ class Cube:
     ctype: tuple[str, ...]           # sorted clique
     corners: tuple[int, ...]         # vertex ids indexed by subset bitmask of ctype
     key: frozenset = field(compare=False)
-    min_corner: int = field(compare=False)
     gelem: object = field(compare=False, default=None)  # defining group element
 
     def faces(self):
@@ -133,7 +132,7 @@ class CubeBall:
                     "dim": c.dim,
                     "type": list(c.ctype),
                     "verts": sorted(c.key),
-                    "min_corner": c.min_corner,
+                    "min_corner": c.corners[0],
                 }
                 for c in self.cubes
             ],
@@ -179,6 +178,9 @@ def build_ball(
         return ball._add_vertex(rep, d, key)
 
     add(engine.identity(), *engine.coset_name(engine.identity()), 0)
+    # radius 1 alone holds 1 + degree vertices: fail before listing the probes
+    if radius >= 1 and 1 + cayley_abels_degree(model, graph) > vertex_cap:
+        raise ResourceCap(f"vertex budget {vertex_cap} exhausted at radius 1")
     letters = [(u, t, sign) for t in graph.vertices for sign in (1, -1)
                for u in model.left_transversal(1 if sign == 1 else 0)]
     # walks grows while it is walked: the walk is the BFS
@@ -207,7 +209,7 @@ def _attach_cubes(ball: CubeBall, cube_cap: int):
     model = ball.model
     # vertices are the 0-cubes
     for vid in range(ball.n_vertices):
-        cube = Cube(0, (), (vid,), frozenset((vid,)), vid, ball.vertex_reps[vid])
+        cube = Cube(0, (), (vid,), frozenset((vid,)), ball.vertex_reps[vid])
         ball.cube_ids[cube.key] = len(ball.cubes)
         ball.cubes.append(cube)
     for nonempty in cliques(ball.graph).nonempty():
@@ -228,7 +230,7 @@ def _attach_cubes(ball: CubeBall, cube_cap: int):
                     raise ResourceCap(f"cube budget {cube_cap} exhausted")
                 g = ball.engine.mul_token(ball.vertex_reps[vid], u_token(c))
                 ball.cube_ids[key] = len(ball.cubes)
-                ball.cubes.append(Cube(d, ctype, corners, key, corners[0], g))
+                ball.cubes.append(Cube(d, ctype, corners, key, g))
 
 
 def _cube_corners(ball: CubeBall, vid, c, ctype):

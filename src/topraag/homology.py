@@ -486,7 +486,7 @@ def sublevel_complex(ball, t: int):
     cube bQ_T enters iff e(b) + |T| <= t."""
     cells = []
     for c in ball.cubes:
-        top_exp = ball.exponent[c.min_corner] + c.dim
+        top_exp = ball.exponent[c.corners[0]] + c.dim
         if top_exp <= t:
             cells.append((c.dim, c.ctype, c.corners))
     return cells

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from fractions import Fraction
 
 from .errors import ModelError, NotInDomain, NotShrinkingModel
 
@@ -158,6 +158,8 @@ class FiniteModel(BaseModel):
     kind = "finite"
 
     def __init__(self, degree, u_gens, o_gens, phi_images, coset_reps=None):
+        if degree < 0:
+            raise ModelError(f"finite model field 'degree' must be >= 0, got {degree}")
         self.degree = degree
         ident = perm_identity(degree)
         u_gens = [tuple(g) for g in u_gens]
@@ -318,18 +320,6 @@ class FiniteModel(BaseModel):
         }
 
 
-@dataclass(frozen=True)
-class NPair:
-    """Reduced representative (k, u) of s^-k u s^k in the normal closure of U
-    over a ShiftModel: k >= 0 and either k = 0 or m does not divide u.
-
-    The value map (k, u) |-> u / m^k identifies these pairs with Z[1/m].
-    """
-
-    k: int
-    u: int
-
-
 class ShiftModel(BaseModel):
     kind = "shift"
 
@@ -402,48 +392,28 @@ class ShiftModel(BaseModel):
             d += 1
         return d
 
-    # -- normal-closure pairs ---------------------------------------------
-    def reduce_pair(self, k: int, u: int) -> NPair:
-        if k < 0:
-            raise ModelError("pair depth k must be >= 0")
-        while k > 0 and u % self.m == 0:
-            k -= 1
-            u //= self.m
-        if u == 0:
-            k = 0
-        return NPair(k, u)
+    # -- the normal closure Z[1/m] ------------------------------------------
+    def scale(self, e: int):
+        """m^e exactly: conjugation by an Artin element of exponent e
+        multiplies a value of the normal closure by this."""
+        return self.m**e if e >= 0 else Fraction(1, self.m**-e)
 
-    def pair_mul(self, a: NPair, b: NPair) -> NPair:
-        k = max(a.k, b.k)
-        u = a.u * self.m ** (k - a.k) + b.u * self.m ** (k - b.k)
-        return self.reduce_pair(k, u)
+    def spell(self, n) -> tuple[int, int]:
+        """(k, u) with n = u / m^k and k >= 0 least, so k = 0 or m does not
+        divide u: the spelling s^-k u s^k that keys and output use."""
+        d = n.denominator
+        k, power = 0, 1
+        while power % d:
+            # d divides m^k for some k iff it does for k = bit length of d
+            if k == d.bit_length():
+                raise NotInDomain(f"{n} is not in Z[1/{self.m}]")
+            k, power = k + 1, power * self.m
+        return k, n.numerator * (power // d)
 
-    def pair_inv(self, a: NPair) -> NPair:
-        return NPair(a.k, -a.u)
-
-    def pair_shift(self, a: NPair, e: int) -> NPair:
-        """Conjugation by an Artin element of exponent e: value * m^e."""
-        if e >= 0:
-            return self.reduce_pair(a.k, a.u * self.m**e)
-        return self.reduce_pair(a.k - e, a.u)
-
-    def pair_of_u(self, u: int) -> NPair:
-        return self.reduce_pair(0, u)
-
-    def pair_latitude(self, a: NPair):
-        """sup{ e : pair lies in s^e U s^-e }; +inf only for the identity."""
-        if a.u == 0:
-            return INFINITE
-        return self.phi_depth(a.u) - a.k
-
-    def pair_mod(self, a: NPair, e: int) -> NPair:
-        """Canonical representative of the coset a * (s^e U s^-e)."""
-        if a.u == 0:
-            return a
-        if a.k + e <= 0:
-            return NPair(0, 0)
-        modulus = self.m ** (a.k + e)
-        return self.reduce_pair(a.k, a.u % modulus)
+    def latitude(self, n):
+        """sup{ e : n lies in s^e U s^-e = m^e Z }; +inf only for 0."""
+        k, u = self.spell(n)
+        return self.phi_depth(u) - k
 
     def format_u(self, u):
         return str(u)

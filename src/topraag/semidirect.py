@@ -1,12 +1,13 @@
 """Canonical elements over a shift model with a connected graph.
 
 With O = U = Z and phi multiplication by m, the normal closure N of U is the
-ascending union of the conjugates s^-k U s^k.  Reduced pairs (k, u) stand for
-s^-k u s^k and are identified with Z[1/m] via (k, u) |-> u / m^k.  Every
-element splits uniquely as n * a with n in N and a an Artin word, and every
-Artin generator conjugates N by one shift:
+ascending union of the conjugates s^-k U s^k, and s^-k u s^k |-> u / m^k
+identifies it with Z[1/m]: an element of N is stored as that value, an int or
+a Fraction, and spelled as the pair (k, u) with k least only in keys and
+output.  Every element splits uniquely as n * a with n in N and a an Artin
+word, and every Artin generator conjugates N by one shift:
 
-    a * (k, u) * a^-1  =  (k, u) scaled by m^e(a).
+    a * n * a^-1  =  n * m^e(a).
 
 That law is derived, not displayed, so it ships with two oracles: the
 conjugation-agreement test across generator pairs and the Britton cross-check
@@ -16,22 +17,24 @@ against the one-letter HNN of U (see ``britton`` and the test suite).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 from . import words as W
 from .errors import DisconnectedGraph, RegimeMismatch
 from .graphs import Graph
-from .models import INFINITE, NPair, ShiftModel
+from .models import INFINITE, ShiftModel
 from .elements import Engine, gen_token, u_token
 
 
 @dataclass(frozen=True)
 class SemidirectElement:
-    """n * a with n a reduced pair in the normal closure and a canonical.
+    """n * a with n the value in Z[1/m] of a normal-closure element and a
+    canonical.
 
     e is the exponent of a, carried so that no operation re-sums the word;
     every constructor sets it, and it takes no part in equality."""
 
-    n: NPair
+    n: int | Fraction
     a: W.Word
     e: int = field(compare=False)
 
@@ -51,17 +54,15 @@ class SemidirectEngine(Engine):
         self._letter_products = {}
 
     def identity(self):
-        return SemidirectElement(NPair(0, 0), (), 0)
+        return SemidirectElement(0, (), 0)
 
-    def make(self, n: NPair, a: W.Word) -> SemidirectElement:
+    def make(self, n, a: W.Word) -> SemidirectElement:
         a = W.normal_form(self.graph, a)
-        return SemidirectElement(self.model.reduce_pair(n.k, n.u), a, W.exponent(a))
+        return SemidirectElement(n, a, W.exponent(a))
 
     def mul_token(self, g, token):
-        m = self.model
         if token[0] == "u":
-            shifted = m.pair_shift(m.pair_of_u(token[1]), g.e)
-            return SemidirectElement(m.pair_mul(g.n, shifted), g.a, g.e)
+            return SemidirectElement(g.n + token[1] * self.model.scale(g.e), g.a, g.e)
         _, gen, sign = token
         key = (g.a, gen, sign)
         a = self._letter_products.get(key)
@@ -70,55 +71,51 @@ class SemidirectEngine(Engine):
         return SemidirectElement(g.n, a, g.e + sign)
 
     def tokens(self, g):
-        # (k, u) * a spelled t^-k u t^k a: every generator conjugates the
-        # normal closure by the same shift, so any one of them serves as t
+        # n * a spelled t^-k u t^k a: every generator conjugates the normal
+        # closure by the same shift, so any one of them serves as t
         t = self.graph.vertices[0]
-        k, u = g.n.k, g.n.u
+        k, u = self.model.spell(g.n)
         toks = [gen_token(t, -1)] * k + [u_token(u)] + [gen_token(t, 1)] * k
         return tuple(toks) + tuple(gen_token(gen, e) for gen, e in g.a)
 
     def key(self, g):
-        return ((g.n.k, g.n.u), g.a)
+        return (self.model.spell(g.n), g.a)
 
     def is_in_U(self, g):
-        return not g.a and g.n.k == 0
+        return not g.a and g.n.denominator == 1
 
     def coset_split(self, g):
         # gU = g'U iff the Artin parts agree and the n-parts agree modulo
-        # s^e U s^-e with e the common exponent; g = rep * u with
-        # a u a^-1 = n - n'
-        m = self.model
-        rep = m.pair_mod(g.n, g.e)
-        u = m.pair_shift(m.pair_mul(g.n, m.pair_inv(rep)), -g.e).u
+        # s^e U s^-e = m^e Z with e the common exponent; g = rep * u with
+        # n = rep + u * m^e, so u is the floor quotient
+        u, rep = divmod(g.n, self.model.scale(g.e))
         return SemidirectElement(rep, g.a, g.e), u
 
     def apartment_key(self, n):
         # the pointwise stabiliser of the base apartment is trivial here
         if n.a:
             raise ValueError("apartment keys take elements of the normal closure")
-        return (n.n.k, n.n.u)
+        return self.model.spell(n.n)
 
     def latitude(self, g):
         """Latitude of an element of the normal closure."""
         if g.a:
             raise ValueError("latitude takes elements of the normal closure")
-        return self.model.pair_latitude(g.n)
+        return self.model.latitude(g.n)
 
     def format(self, g):
-        n_str = f"({self.model.format_u(g.n.u)}/{self.model.m}^{g.n.k})"
+        k, u = self.model.spell(g.n)
+        n_str = f"({self.model.format_u(u)}/{self.model.m}^{k})"
         a_str = W.format_word(g.a) or "1"
         return f"{n_str} * {a_str}"
 
-    # O(1) on the pair: overrides of the derived operations
+    # one exact expression on the value: overrides of the derived operations
     def mul(self, g, h):
-        m = self.model
-        conj = m.pair_shift(h.n, g.e)
-        return SemidirectElement(m.pair_mul(g.n, conj), W.multiply(self.graph, g.a, h.a), g.e + h.e)
+        n = g.n + h.n * self.model.scale(g.e)
+        return SemidirectElement(n, W.multiply(self.graph, g.a, h.a), g.e + h.e)
 
     def inv(self, g):
-        m = self.model
-        n_inv = m.pair_shift(m.pair_inv(g.n), -g.e)
-        return SemidirectElement(n_inv, W.invert(self.graph, g.a), -g.e)
+        return SemidirectElement(-g.n * self.model.scale(-g.e), W.invert(self.graph, g.a), -g.e)
 
     def exponent(self, g):
         return g.e
@@ -130,11 +127,11 @@ class SemidirectEngine(Engine):
         return SemidirectElement(g.n, (), 0)
 
 
-def epsilon_latitude(model: ShiftModel, n: NPair):
-    """Largest e with n inside s^e O s^-e; +inf only for the identity."""
+def epsilon_latitude(model: ShiftModel, n):
+    """Largest e with the value n inside s^e O s^-e; +inf only for 0."""
     if not isinstance(model, ShiftModel):
         raise RegimeMismatch("latitude is defined over shift models")
-    return model.pair_latitude(model.reduce_pair(n.k, n.u))
+    return model.latitude(n)
 
 
 def semi_of_word(model: ShiftModel, graph: Graph, tokens) -> SemidirectElement:

@@ -151,12 +151,16 @@ def test_negative_number_exit_2(capsys, args, option):
             "finite model field 'degree' must be an integer, got 3.0",
         ),
         (
+            {"kind": "finite", "degree": -2, "U_gens": [], "O_gens": [], "phi_images": []},
+            "finite model field 'degree' must be >= 0, got -2",
+        ),
+        (
             {"kind": "finite", "degree": 3, "U_gens": 5, "O_gens": [], "phi_images": []},
             "finite model field 'U_gens' must be a list of integer lists, got 5",
         ),
     ],
     ids=["m-not-an-integer", "m-float", "m-string", "m-bool", "degree-float",
-         "generators-not-a-list"],
+         "degree-negative", "generators-not-a-list"],
 )
 def test_malformed_model_field_exit_2(tmp_path, capsys, model, message):
     bad = tmp_path / "model.json"

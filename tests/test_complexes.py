@@ -94,6 +94,19 @@ def test_resource_cap():
         build_ball(SM2, EDGE, 3, vertex_cap=10)
 
 
+def test_vertex_cap_trips_before_listing_probes(monkeypatch):
+    # radius 1 alone holds 1 + 2 * (50 + 1) vertices, so the cap trips before
+    # the 50 probes of U/phi(U) are listed
+    model = ShiftModel(50)
+
+    def listed(k):
+        raise AssertionError("probes listed although the cap had tripped")
+
+    monkeypatch.setattr(model, "left_transversal", listed)
+    with pytest.raises(ResourceCap, match="^vertex budget 10 exhausted at radius 1$"):
+        build_ball(model, EDGE, 1, vertex_cap=10)
+
+
 def test_cube_types_unique_by_vertex_set():
     ball = build_ball(S3A3, EDGE, 2)
     seen = {}
@@ -125,7 +138,7 @@ def test_exponent_on_ball_vertices():
     for c in ball.cubes_of_dim(1):
         a, b = sorted(c.corners, key=lambda v: ball.exponent[v])
         assert ball.exponent[b] - ball.exponent[a] == 1
-        assert c.min_corner == a
+        assert c.corners[0] == a
 
 
 def test_stabilisers_automorphic():
@@ -337,7 +350,7 @@ def _engine_walk_ball(model, graph, radius):
         frontier = nxt
     for vid in range(ball.n_vertices):
         ball.cube_ids[frozenset((vid,))] = len(ball.cubes)
-        ball.cubes.append(Cube(0, (), (vid,), frozenset((vid,)), vid, ball.vertex_reps[vid]))
+        ball.cubes.append(Cube(0, (), (vid,), frozenset((vid,)), ball.vertex_reps[vid]))
     for clique in cliques(graph).nonempty():
         ctype = tuple(sorted(clique, key=graph.order.get))
         for vid in range(ball.n_vertices):
@@ -355,7 +368,7 @@ def _engine_walk_ball(model, graph, radius):
                     continue
                 assert len(key) == len(corners)
                 ball.cube_ids[key] = len(ball.cubes)
-                ball.cubes.append(Cube(len(ctype), ctype, tuple(corners), key, corners[0], g))
+                ball.cubes.append(Cube(len(ctype), ctype, tuple(corners), key, g))
     for c in ball.cubes_of_dim(1):
         a, b = c.corners
         ball.adjacency[a].add(b)
@@ -648,7 +661,7 @@ def test_pockets_match_all_pairs_scan():
         assert pockets == _pockets_all_pairs(ball)
     # in the balls above every pocket shares the edges at its base corner;
     # this pair shares the two edges at its top corner instead
-    squares = [Cube(2, ("s", "t"), c, frozenset(c), c[0]) for c in ((0, 1, 2, 3), (4, 1, 2, 3))]
+    squares = [Cube(2, ("s", "t"), c, frozenset(c)) for c in ((0, 1, 2, 3), (4, 1, 2, 3))]
     top_pair = SimpleNamespace(cubes=squares)
     assert detect_pockets(top_pair) == _pockets_all_pairs(top_pair) != []
 

@@ -39,12 +39,14 @@ CASES = [
     ("automorphic", F20, cycle_graph("abcd")),
     ("semidirect", ShiftModel(2), edge_graph()),
     ("semidirect", ShiftModel(3), path_graph("pqr")),
+    ("semidirect", ShiftModel(4), edge_graph()),
+    ("semidirect", ShiftModel(6), path_graph("pqr")),
     ("tree", ShiftModel(2), ST),
     ("tree", GENERAL, ST),
 ]
 IDS = [
-    "s3a3-edge", "trivial-c4", "inversion-edge", "f20-c4", "shift2-edge", "shift3-path3", "shift2-st",
-    "general-st",
+    "s3a3-edge", "trivial-c4", "inversion-edge", "f20-c4", "shift2-edge", "shift3-path3", "shift4-edge",
+    "shift6-path3", "shift2-st", "general-st",
 ]
 
 PRIMITIVES = (

@@ -8,7 +8,6 @@ import pytest
 from topraag.errors import ModelError, NotInDomain, NotShrinkingModel
 from topraag.models import (
     FiniteModel,
-    NPair,
     ShiftModel,
     TrivialModel,
     index_of,
@@ -155,30 +154,48 @@ def test_trivial_model():
     assert tm.is_automorphic
 
 
-def test_reduce_pair():
+def test_spell():
     sm = ShiftModel(2)
-    assert sm.reduce_pair(1, 6) == NPair(0, 3)
-    assert sm.reduce_pair(0, 5) == NPair(0, 5)
-    assert sm.reduce_pair(3, 8) == NPair(0, 1)
-    assert sm.reduce_pair(2, 0) == NPair(0, 0)
+    assert sm.spell(Fraction(6, 2)) == (0, 3)
+    assert sm.spell(5) == (0, 5)
+    assert sm.spell(Fraction(8, 2**3)) == (0, 1)
+    assert sm.spell(Fraction(0, 2**2)) == (0, 0)
+    assert sm.spell(Fraction(1, 2)) == (1, 1)
+    # Fraction reduces 3/6 to 1/2; over m = 6 it is still spelled 3 / 6^1
+    assert ShiftModel(6).spell(Fraction(3, 6)) == (1, 3)
+    with pytest.raises(NotInDomain):
+        sm.spell(Fraction(1, 3))
 
 
-def test_reduce_pair_idempotent_and_group_law():
+@pytest.mark.parametrize("m", [2, 3, 4, 6])
+def test_spell_round_trip(m):
+    sm = ShiftModel(m)
+    rng = random.Random(m)
+    for _ in range(1000):
+        n = Fraction(rng.randint(-40, 40), m ** rng.randint(0, 4))
+        k, u = sm.spell(n)
+        assert Fraction(u, m**k) == n
+        assert k == 0 or u % m
+
+
+def test_spell_idempotent_and_group_law():
     sm = ShiftModel(3)
+    val = lambda pair: Fraction(pair[1], sm.m ** pair[0])
     rng = random.Random(0)
     for _ in range(1000):
-        k, u = rng.randint(0, 4), rng.randint(-40, 40)
-        p = sm.reduce_pair(k, u)
-        assert sm.reduce_pair(p.k, p.u) == p
-        # the value map to Z[1/m] is an injective homomorphism
-        k2, u2 = rng.randint(0, 4), rng.randint(-40, 40)
-        q = sm.reduce_pair(k2, u2)
-        s = sm.pair_mul(p, q)
-        val = lambda x: Fraction(x.u, sm.m**x.k)
-        assert val(s) == val(p) + val(q)
-        if val(p) != val(q):
-            assert p != q
-        assert val(sm.pair_inv(p)) == -val(p)
+        p = Fraction(rng.randint(-40, 40), sm.m ** rng.randint(0, 4))
+        assert sm.spell(val(sm.spell(p))) == sm.spell(p)
+        # the spelling is injective, the group law is addition and the inverse
+        # negates u; scale(e) is m^e exactly
+        q = Fraction(rng.randint(-40, 40), sm.m ** rng.randint(0, 4))
+        assert val(sm.spell(p + q)) == val(sm.spell(p)) + val(sm.spell(q))
+        if p != q:
+            assert sm.spell(p) != sm.spell(q)
+        k, u = sm.spell(p)
+        assert sm.spell(-p) == (k, -u)
+        e = rng.randint(-4, 4)
+        assert sm.scale(e) == Fraction(sm.m) ** e
+        assert p * sm.scale(e) * sm.scale(-e) == p
 
 
 def test_phi_depth():

@@ -1,6 +1,7 @@
 """The shift-regime element engine and its two oracles: Britton reduction on
 the one-letter sub-extension and conjugation agreement across generators."""
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -12,7 +13,7 @@ from topraag.britton import bs_word_reduce, bs_words_equal
 from topraag.complexes import build_ball
 from topraag.errors import RegimeMismatch
 from topraag.graphs import cycle_graph, edge_graph, path_graph, single_vertex, validate_graph
-from topraag.models import BaseModel, NPair, ShiftModel
+from topraag.models import BaseModel, ShiftModel
 from topraag.elements import engine_for, gen_token, parse_tokens, u_token
 from topraag.semidirect import (
     SemidirectElement,
@@ -24,20 +25,23 @@ from topraag.semidirect import (
 
 EDGE = edge_graph()
 SM2 = ShiftModel(2)
+# the oracles also run over composite shift factors, where Fraction's lowest
+# terms (3/6 = 1/2) differ from the (k, u) spelling
+SHIFTS = [SM2, ShiftModel(4), ShiftModel(6)]
 
 
 def test_spec_examples():
     # s 1 s^-1 = 2 in U
     g = semi_of_word(SM2, EDGE, parse_tokens(SM2, EDGE, "s 1 s^-1"))
-    assert g.n == NPair(0, 2) and g.a == ()
+    assert g.n == 2 and g.a == ()
     # s^-1 1 s = one half
     g = semi_of_word(SM2, EDGE, parse_tokens(SM2, EDGE, "s^-1 1 s"))
-    assert g.n == NPair(1, 1) and g.a == ()
-    # ((0,3), s) * ((0,0), s^-1) = ((0,3), 1)
+    assert g.n == Fraction(1, 2) and g.a == ()
+    # (3, s) * (0, s^-1) = (3, 1)
     eng = SemidirectEngine(SM2, EDGE)
-    a = eng.make(NPair(0, 3), W.single("s", 1))
-    b = eng.make(NPair(0, 0), W.single("s", -1))
-    assert eng.mul(a, b) == eng.make(NPair(0, 3), ())
+    a = eng.make(3, W.single("s", 1))
+    b = eng.make(0, W.single("s", -1))
+    assert eng.mul(a, b) == eng.make(3, ())
 
 
 def test_group_axioms_random():
@@ -78,20 +82,20 @@ def test_invariance_under_defining_relations():
 
 def test_extended_exponent_and_parts():
     eng = SemidirectEngine(SM2, EDGE)
-    g = eng.make(NPair(1, 1), W.parse_word("s t"))
+    g = eng.make(Fraction(1, 2), W.parse_word("s t"))
     assert eng.exponent(g) == 2
     assert eng.exponent(eng.from_tokens((u_token(9),))) == 0
     st = eng.from_tokens(parse_tokens(SM2, EDGE, "s 5"))
     n, a = eng.n_part(st), eng.a_part(st)
     assert a == W.single("s", 1)
-    assert n.n == NPair(0, 10)  # collection: s u = (s u s^-1) s
+    assert n.n == 10  # collection: s u = (s u s^-1) s
 
 
 def test_epsilon_latitude_values():
-    assert epsilon_latitude(SM2, NPair(0, 6)) == 1
-    assert epsilon_latitude(SM2, NPair(0, 5)) == 0
-    assert epsilon_latitude(SM2, NPair(2, 1)) == -2
-    assert epsilon_latitude(SM2, NPair(0, 0)) == math.inf
+    assert epsilon_latitude(SM2, 6) == 1
+    assert epsilon_latitude(SM2, 5) == 0
+    assert epsilon_latitude(SM2, Fraction(1, 4)) == -2
+    assert epsilon_latitude(SM2, 0) == math.inf
 
 
 def test_epsilon_latitude_bruteforce():
@@ -99,13 +103,13 @@ def test_epsilon_latitude_bruteforce():
     # membership: s^-e n s^e must be an integer
     rng = random.Random(2)
     for _ in range(300):
-        n = SM2.reduce_pair(rng.randint(0, 3), rng.randint(-40, 40))
-        if n.u == 0:
+        k = rng.randint(0, 3)
+        n = Fraction(rng.randint(-40, 40), SM2.m**k)
+        if n == 0:
             continue
-        val = Fraction(n.u, SM2.m**n.k)
         best = None
         for e in range(-5, 6):
-            if (val / Fraction(SM2.m) ** e).denominator == 1:
+            if (n / Fraction(SM2.m) ** e).denominator == 1:
                 best = e
         eps = epsilon_latitude(SM2, n)
         assert -5 <= eps <= 5 and eps == best
@@ -115,10 +119,11 @@ def test_epsilon_symmetry_and_conjugation_shift():
     rng = random.Random(3)
     eng = SemidirectEngine(SM2, EDGE)
     for _ in range(200):
-        n = SM2.reduce_pair(rng.randint(0, 3), rng.randint(-30, 30))
-        if n.u == 0:
+        k = rng.randint(0, 3)
+        n = Fraction(rng.randint(-30, 30), SM2.m**k)
+        if n == 0:
             continue
-        assert epsilon_latitude(SM2, n) == epsilon_latitude(SM2, SM2.pair_inv(n))
+        assert epsilon_latitude(SM2, n) == epsilon_latitude(SM2, -n)
         # a O a^-1 = s^{e(a)} O s^{-e(a)}: membership via latitude
         a = tuple((rng.choice("st"), rng.choice((1, -1))) for _ in range(rng.randint(0, 4)))
         a_toks = tuple(gen_token(g, e) for g, e in a)
@@ -132,10 +137,11 @@ def test_epsilon_symmetry_and_conjugation_shift():
 
 def test_conjugation_agreement_across_generators():
     # g^-1 u g must be the same element for every generator g, on several
-    # connected graphs; this is the engine-level half of the oracle
+    # connected graphs and shift factors; this is the engine-level half of
+    # the oracle
     rng = random.Random(4)
-    for graph in [EDGE, path_graph("pqr"), cycle_graph("abcd")]:
-        eng = SemidirectEngine(SM2, graph)
+    for model, graph in itertools.product(SHIFTS, [EDGE, path_graph("pqr"), cycle_graph("abcd")]):
+        eng = SemidirectEngine(model, graph)
         for _ in range(340):
             u = rng.randint(-50, 50)
             results = set()
@@ -163,20 +169,20 @@ def test_britton_cross_check_on_sub_hnn():
     # Britton reduction over the single-letter sub-extension <U, s>
     rng = random.Random(5)
     pt = single_vertex("s")
-    eng = SemidirectEngine(SM2, pt)
-    for _ in range(1000):
-        toks1 = random_semidirect_tokens(SM2, pt, rng, rng.randint(0, 6))
-        toks2 = random_semidirect_tokens(SM2, pt, rng, rng.randint(0, 6))
-        engine_equal = eng.from_tokens(toks1) == eng.from_tokens(toks2)
-        oracle_equal = bs_words_equal(SM2, toks1, toks2)
-        assert engine_equal == oracle_equal
+    for model in SHIFTS:
+        eng = SemidirectEngine(model, pt)
+        for _ in range(1000):
+            toks1 = random_semidirect_tokens(model, pt, rng, rng.randint(0, 6))
+            toks2 = random_semidirect_tokens(model, pt, rng, rng.randint(0, 6))
+            engine_equal = eng.from_tokens(toks1) == eng.from_tokens(toks2)
+            oracle_equal = bs_words_equal(model, toks1, toks2)
+            assert engine_equal == oracle_equal
 
 
 def test_britton_cross_check_inside_edge_graph():
     # words over U u {s^{+-1}} evaluated inside the edge-graph engine give
     # the same equality verdicts as the BS(1,m) oracle
     rng = random.Random(6)
-    eng = SemidirectEngine(SM2, EDGE)
 
     def sample():
         toks = []
@@ -187,9 +193,11 @@ def test_britton_cross_check_inside_edge_graph():
                 toks.append(gen_token("s", rng.choice((1, -1))))
         return tuple(toks)
 
-    for _ in range(1000):
-        t1, t2 = sample(), sample()
-        assert (eng.from_tokens(t1) == eng.from_tokens(t2)) == bs_words_equal(SM2, t1, t2)
+    for model in SHIFTS:
+        eng = SemidirectEngine(model, EDGE)
+        for _ in range(1000):
+            t1, t2 = sample(), sample()
+            assert (eng.from_tokens(t1) == eng.from_tokens(t2)) == bs_words_equal(model, t1, t2)
 
 
 def test_disconnected_graph_rejected():
