@@ -54,6 +54,8 @@ class TreeEngine(Engine):
         if token[0] == "u":
             return TreeElement(g.steps, m.mul(g.tail, token[1]))
         _, gen, sign = token
+        if gen not in self.graph._adj or (sign != 1 and sign != -1):
+            W.check_letters(self.graph, ((gen, sign),))
         steps, tail = g.steps, g.tail
         # pinch: ... t^-sign * tail * t^sign collapses when tail is in the
         # relevant associated subgroup

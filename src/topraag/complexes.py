@@ -438,15 +438,16 @@ def valley_cells(
     if lo > hi or word_radius < 0:
         raise EmptyWindow(f"window e-range {e_range} x radius {word_radius} is empty")
     table = _artin_ball(graph, word_radius, vertex_cap)
-    verts = {}
-    for b in sorted(table, key=lambda w: (len(w), w)):
+    exps = {}
+    for b in table:
         e = W.exponent(b)
         if e <= latitude and lo <= e <= hi:
-            verts[b] = len(verts)
+            exps[b] = e
+    verts = {b: i for i, b in enumerate(sorted(exps, key=lambda w: (len(w), w)))}
     ctypes = [tuple(sorted(c, key=graph.order.get)) for c in cliques(graph).nonempty()]
     cubes = []
     for b in verts:
-        e = W.exponent(b)
+        e = exps[b]
         for ctype in ctypes:
             if e + len(ctype) > latitude:
                 continue
@@ -491,7 +492,7 @@ def _artin_ball(graph: Graph, radius: int, vertex_cap: int = DEFAULT_VERTEX_CAP)
             for x in letters:
                 if x in row:
                     continue
-                w = W.multiply(graph, b, (x,))
+                w = W.multiply_letter(graph, b, x)
                 if w not in table:
                     if len(table) >= vertex_cap:
                         raise ResourceCap(f"word ball vertex budget {vertex_cap} exhausted")

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import words as W
-from .errors import RegimeMismatch, RelationViolation, UnknownGenerator
+from .errors import RegimeMismatch, RelationViolation
 from .graphs import Graph
 from .models import BaseModel
 
@@ -117,16 +117,15 @@ def _right_u(model: BaseModel, seq: NormalSequence, u) -> NormalSequence:
 
 
 def _right_letter(model: BaseModel, g: Graph, seq: NormalSequence, gen: str, sign: int) -> NormalSequence:
-    """seq * gen^sign: a new pair after a nontrivial last representative,
-    else one multiply into the last block, dropping the pair if it cancels."""
-    if gen not in g._adj:
-        raise UnknownGenerator(f"{gen!r} is not a vertex of the graph")
+    """seq * gen^sign: the letter joins the last block when the last
+    representative is trivial, else starts a new pair; a pair whose block
+    cancels is dropped."""
     ident = model.identity()
-    tail = seq.tail
-    if not tail or tail[-1][1] != ident:
-        return NormalSequence(seq.head, tail + ((W.single(gen, sign), ident),))
-    merged = W.multiply(g, tail[-1][0], W.single(gen, sign))
-    return NormalSequence(seq.head, tail[:-1] + (((merged, ident),) if merged else ()))
+    tail, block = seq.tail, ()
+    if tail and tail[-1][1] == ident:
+        tail, block = tail[:-1], tail[-1][0]
+    merged = W.multiply_letter(g, block, (gen, sign))
+    return NormalSequence(seq.head, tail + (((merged, ident),) if merged else ()))
 
 
 def act_letter(model: BaseModel, g: Graph, token: Token, seq: NormalSequence) -> NormalSequence:
@@ -136,8 +135,8 @@ def act_letter(model: BaseModel, g: Graph, token: Token, seq: NormalSequence) ->
     if token[0] == "u":
         return NormalSequence(model.mul(token[1], seq.head), seq.tail)
     _, gen, sign = token
-    if gen not in g._adj:
-        raise UnknownGenerator(f"{gen!r} is not a vertex of the graph")
+    if gen not in g._adj or (sign != 1 and sign != -1):
+        W.check_letters(g, ((gen, sign),))
     return _left_block(model, g, W.single(gen, sign), sign, seq)
 
 

@@ -50,7 +50,8 @@ class SemidirectEngine(Engine):
         super().__init__(model, graph)
         # (a, gen, sign) -> canonical a gen^sign.  The Artin parts of a ball's
         # elements come from a small Artin ball, so one-letter products repeat;
-        # a miss pays the word layer's checks and caps.
+        # a miss runs multiply_letter, which checks the letter, so a bad
+        # letter is never stored.
         self._letter_products = {}
 
     def identity(self):
@@ -67,7 +68,7 @@ class SemidirectEngine(Engine):
         key = (g.a, gen, sign)
         a = self._letter_products.get(key)
         if a is None:
-            a = self._letter_products[key] = W.multiply(self.graph, g.a, W.single(gen, sign))
+            a = self._letter_products[key] = W.multiply_letter(self.graph, g.a, (gen, sign))
         return SemidirectElement(g.n, a, g.e + sign)
 
     def tokens(self, g):

@@ -63,12 +63,6 @@ def free_invert(w: Word) -> Word:
     return tuple((g, -e) for g, e in reversed(w))
 
 
-def _letter_key(g: Graph, letter: Letter):
-    order = g.order
-    gen, e = letter
-    return (order[gen], 0 if e == 1 else 1)
-
-
 def _shuffle_reduce(g: Graph, w) -> list[Letter]:
     # One backward scan per appended letter: skip the letters commuting with
     # it, then cancel against a matching inverse.  The scan stops at the same
@@ -130,6 +124,38 @@ def multiply(g: Graph, w1: Word, w2: Word) -> Word:
     return normal_form(g, tuple(w1) + tuple(w2))
 
 
+def multiply_letter(g: Graph, w: Word, x: Letter) -> Word:
+    """Canonical form of w x, for w canonical (as normal_form returns it) and
+    one letter x; w is not checked.
+
+    Scan back from the end of w past the letters commuting with x.  If the
+    scan stops at x^-1, that letter cancels.  Otherwise x may sit anywhere
+    after the stop, and it goes before the first letter there whose
+    generator comes later in the vertex order, which gives the least such
+    word (Hermiller-Meier ShortLex forms of graph products).  The letters
+    passed commute with x, so none has x's generator and the sign never
+    decides.  A prepended letter can reorder the letters after it, so left
+    multiples keep ``multiply``.
+    """
+    gen, e = x
+    commuting = g._adj.get(gen)
+    if commuting is None or (e != 1 and e != -1):
+        check_letters(g, (x,))
+    i = len(w) - 1
+    while i >= 0 and w[i][0] in commuting:
+        i -= 1
+    if i >= 0 and w[i] == (gen, -e):
+        return w[:i] + w[i + 1:]
+    if len(w) >= WORD_LENGTH_CAP:
+        raise WordLengthCap(f"word of length {len(w) + 1} exceeds cap {WORD_LENGTH_CAP}")
+    order = g.order
+    rank = order[gen]
+    i += 1
+    while i < len(w) and order[w[i][0]] < rank:
+        i += 1
+    return w[:i] + (x,) + w[i:]
+
+
 def invert(g: Graph, w: Word) -> Word:
     return normal_form(g, free_invert(w))
 
@@ -153,36 +179,3 @@ def parabolic_project(g: Graph, t_subset, w: Word) -> Word:
                 )
     sub = g.induced(keep)
     return normal_form(sub, tuple(l for l in w if l[0] in keep))
-
-
-def shuffle_class(g: Graph, w: Word, cap: int = 200_000) -> set[Word]:
-    """Every word reachable by swaps of adjacent commuting letters and by
-    cancelling adjacent inverse pairs.  Brute-force oracle for small words."""
-    check_letters(g, w)
-    seen = {tuple(w)}
-    frontier = [tuple(w)]
-    while frontier:
-        cur = frontier.pop()
-        for i in range(len(cur) - 1):
-            a, b = cur[i], cur[i + 1]
-            if a[0] == b[0] and a[1] == -b[1]:
-                nxt = cur[:i] + cur[i + 2 :]
-                if nxt not in seen:
-                    seen.add(nxt)
-                    frontier.append(nxt)
-            elif a[0] != b[0] and g.adjacent(a[0], b[0]):
-                nxt = cur[:i] + (b, a) + cur[i + 2 :]
-                if nxt not in seen:
-                    seen.add(nxt)
-                    frontier.append(nxt)
-        if len(seen) > cap:
-            raise WordLengthCap("shuffle class exploded past the oracle cap")
-    return seen
-
-
-def normal_form_bruteforce(g: Graph, w: Word) -> Word:
-    """Oracle: ShortLex-least member of the full shuffle class."""
-    cls = shuffle_class(g, w)
-    shortest = min(len(x) for x in cls)
-    candidates = [x for x in cls if len(x) == shortest]
-    return min(candidates, key=lambda x: [_letter_key(g, l) for l in x])

@@ -1,5 +1,8 @@
 """Reference implementations kept beside the tests as oracles.
 
+``normal_form_bruteforce`` is the ShortLex-least word of the whole shuffle
+class, found by search; of the word layer it uses only ``check_letters``.
+
 ``chain_complex`` accepts hand-oriented cell lists: a face may be stored
 under any corner indexing of its cube, and every incidence is signed by the
 hypercube symmetry between the stored and the induced indexing.  The
@@ -7,8 +10,9 @@ library's chain_complex requires faces in induced sub-mask order and must
 agree with this one on every complex that topraag produces.
 """
 
-from topraag.errors import NonClosedComplex
+from topraag.errors import NonClosedComplex, WordLengthCap
 from topraag.homology import ChainComplex, SparseMatrix
+from topraag.words import check_letters
 
 
 def chain_complex(cells) -> ChainComplex:
@@ -112,3 +116,41 @@ def _permutation_parity(perm) -> bool:
         if length % 2 == 0:
             odd = not odd
     return odd
+
+
+def shuffle_class(g, w, cap: int = 200_000) -> set:
+    """Every word reachable by swaps of adjacent commuting letters and by
+    cancelling adjacent inverse pairs.  Brute-force oracle for small words."""
+    check_letters(g, w)
+    seen = {tuple(w)}
+    frontier = [tuple(w)]
+    while frontier:
+        cur = frontier.pop()
+        for i in range(len(cur) - 1):
+            a, b = cur[i], cur[i + 1]
+            if a[0] == b[0] and a[1] == -b[1]:
+                nxt = cur[:i] + cur[i + 2 :]
+                if nxt not in seen:
+                    seen.add(nxt)
+                    frontier.append(nxt)
+            elif a[0] != b[0] and g.adjacent(a[0], b[0]):
+                nxt = cur[:i] + (b, a) + cur[i + 2 :]
+                if nxt not in seen:
+                    seen.add(nxt)
+                    frontier.append(nxt)
+        if len(seen) > cap:
+            raise WordLengthCap("shuffle class exploded past the oracle cap")
+    return seen
+
+
+def _letter_key(g, letter):
+    gen, e = letter
+    return (g.order[gen], 0 if e == 1 else 1)
+
+
+def normal_form_bruteforce(g, w) -> tuple:
+    """Oracle: ShortLex-least member of the full shuffle class."""
+    cls = shuffle_class(g, w)
+    shortest = min(len(x) for x in cls)
+    candidates = [x for x in cls if len(x) == shortest]
+    return min(candidates, key=lambda x: [_letter_key(g, l) for l in x])

@@ -12,6 +12,7 @@ import pytest
 
 from topraag import words as W
 from topraag.elements import Engine, engine_for, gen_token, u_token
+from topraag.errors import UnknownGenerator
 from topraag.graphs import cycle_graph, edge_graph, edgeless_graph, path_graph
 from topraag.models import FiniteModel, ShiftModel, TrivialModel, perm_from_cycles, s3_a3_model
 
@@ -132,6 +133,29 @@ def test_engine_contract(regime, model, graph):
         assert eng.u_value(eng.from_tokens((u_token(u),))) == u
     with pytest.raises(ValueError):
         eng.u_value(eng.from_tokens((gen_token(graph.vertices[0], 1),)))
+
+
+@pytest.mark.parametrize("regime, model, graph", CASES, ids=IDS)
+def test_engine_rejects_malformed_letters(regime, model, graph):
+    # an unknown generator or a sign other than +-1 raises on every path a
+    # letter token enters by; the second pass would read any product the
+    # first one stored, and every valid letter product is stored first
+    eng = engine_for(model, graph)
+    v = graph.vertices[0]
+    elems = [eng.identity(), eng.from_tokens(random_tokens(model, graph, random.Random(regime), 8))]
+    for a in elems:
+        for gen in graph.vertices:
+            for sign in (1, -1):
+                eng.mul_token(a, gen_token(gen, sign))
+    for _ in range(2):
+        for a in elems:
+            for bad in (("gen", "zz", 1), ("gen", v, 2), ("gen", v, 0), ("gen", v, -2)):
+                with pytest.raises(UnknownGenerator):
+                    eng.mul_token(a, bad)
+                with pytest.raises(UnknownGenerator):
+                    eng.walk_token(a, bad)
+                with pytest.raises(UnknownGenerator):
+                    eng.from_tokens((gen_token(v, 1), bad))
 
 
 def test_engines_keep_only_cheaper_overrides():

@@ -232,16 +232,16 @@ def test_shift_left_split_is_the_base_scan(m):
 )
 def test_letter_products_agree_with_the_word_layer(monkeypatch, model, graph):
     # one engine over many words, so one-letter products repeat: every
-    # generator token gives the product computed without the engine's cache,
-    # and the word layer multiplies each distinct (a, letter) once
-    multiply = W.multiply
+    # generator token gives the whole-word product, and the word layer's
+    # one-letter multiply runs once per distinct (a, letter)
+    multiply_letter = W.multiply_letter
     asked = []
 
-    def counted(g, w1, w2):
-        asked.append((w1, w2))
-        return multiply(g, w1, w2)
+    def counted(g, w, x):
+        asked.append((w, x))
+        return multiply_letter(g, w, x)
 
-    monkeypatch.setattr(W, "multiply", counted)
+    monkeypatch.setattr(W, "multiply_letter", counted)
     eng = SemidirectEngine(model, graph)
     rng = random.Random(f"letters-{model.m}")
     probes = 0
@@ -251,11 +251,11 @@ def test_letter_products_agree_with_the_word_layer(monkeypatch, model, graph):
             h = eng.mul_token(g, tok)
             if tok[0] == "gen":
                 probes += 1
-                a = multiply(graph, g.a, W.single(tok[1], tok[2]))
+                a = W.multiply(graph, g.a, W.single(tok[1], tok[2]))
                 assert h == SemidirectElement(g.n, a, W.exponent(a))
             assert h.e == W.exponent(h.a)
             g = h
-    assert len(asked) == len(set(asked)) < probes
+    assert 0 < len(asked) == len(set(asked)) < probes
 
 
 @pytest.mark.parametrize(

@@ -1,8 +1,9 @@
 import random
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
+from oracles import normal_form_bruteforce
 from topraag import words as W
 from topraag.errors import NotAJoinFactor, UnknownGenerator, WordLengthCap
 from topraag.graphs import (
@@ -60,7 +61,7 @@ def test_normal_form_idempotent_and_oracle():
         w = tuple((rng.choice(g.vertices), rng.choice((1, -1))) for _ in range(n))
         nf = W.normal_form(g, w)
         assert W.normal_form(g, nf) == nf
-        assert nf == W.normal_form_bruteforce(g, w)
+        assert nf == normal_form_bruteforce(g, w)
 
 
 def restart_shuffle_reduce(g, w):
@@ -103,17 +104,53 @@ def test_one_pass_shuffle_reduce_matches_restart_loop():
 def test_normal_form_exhaustive_short_words():
     # every word of length <= 6 over the edge graph and <= 4 over two
     # larger graphs, against the full shuffle-class oracle
-    from itertools import product
-
     letters = [(v, e) for v in EDGE.vertices for e in (1, -1)]
     for n in range(7):
         for w in product(letters, repeat=n):
-            assert W.normal_form(EDGE, w) == W.normal_form_bruteforce(EDGE, w)
+            assert W.normal_form(EDGE, w) == normal_form_bruteforce(EDGE, w)
     for g in [path_graph("pqr"), cycle_graph("abcd")]:
         letters = [(v, e) for v in g.vertices for e in (1, -1)]
         for n in range(5):
             for w in product(letters, repeat=n):
-                assert W.normal_form(g, w) == W.normal_form_bruteforce(g, w)
+                assert W.normal_form(g, w) == normal_form_bruteforce(g, w)
+
+
+def canonical_words(g, max_len):
+    letters = [(v, e) for v in g.vertices for e in (1, -1)]
+    for n in range(max_len + 1):
+        for w in product(letters, repeat=n):
+            if W.normal_form(g, w) == w:
+                yield w
+
+
+@pytest.mark.parametrize(
+    "g, max_len",
+    [
+        (EDGE, 6),
+        (path_graph("pqr"), 4),
+        (C4, 4),
+        (complete_graph("xyz"), 4),
+        (edgeless_graph("uv"), 5),
+    ],
+    ids=["edge", "path3", "c4", "k3", "uv"],
+)
+def test_multiply_letter_exhaustive(g, max_len):
+    # every canonical word up to max_len times every letter, against the
+    # full shuffle-class oracle
+    letters = [(v, e) for v in g.vertices for e in (1, -1)]
+    for w in canonical_words(g, max_len):
+        for x in letters:
+            assert W.multiply_letter(g, w, x) == normal_form_bruteforce(g, w + (x,)), (w, x)
+
+
+def test_multiply_letter_matches_multiply():
+    rng = random.Random(7)
+    for _ in range(20_000):
+        g = random_graph(rng, max_vertices=6)
+        n = rng.randint(0, 30)
+        w = W.normal_form(g, tuple((rng.choice(g.vertices), rng.choice((1, -1))) for _ in range(n)))
+        x = (rng.choice(g.vertices), rng.choice((1, -1)))
+        assert W.multiply_letter(g, w, x) == W.multiply(g, w, (x,)), (g, w, x)
 
 
 def test_equality_iff_same_normal_form():
@@ -210,3 +247,11 @@ def test_unknown_generator_and_cap():
         W.normal_form(EDGE, W.parse_word("x"))
     with pytest.raises(WordLengthCap):
         W.normal_form(EDGE, (("s", 1),) * (W.WORD_LENGTH_CAP + 1))
+    # the one-letter product checks the letter itself and caps the result
+    for bad in (("x", 1), ("s", 2), ("s", 0)):
+        with pytest.raises(UnknownGenerator):
+            W.multiply_letter(EDGE, W.parse_word("s"), bad)
+    at_cap = (("s", 1),) * W.WORD_LENGTH_CAP
+    with pytest.raises(WordLengthCap):
+        W.multiply_letter(EDGE, at_cap, ("t", 1))
+    assert W.multiply_letter(EDGE, at_cap, ("s", -1)) == at_cap[1:]
