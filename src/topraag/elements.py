@@ -300,8 +300,7 @@ class AutomorphicEngine(Engine):
         return word_of(a)
 
     def key(self, a):
-        m = self.model
-        return m.elem_key(a.head), tuple((w, m.elem_key(u)) for w, u in a.tail)
+        return a.head, a.tail
 
     def is_in_U(self, a):
         return a.length == 0

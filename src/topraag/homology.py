@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import EmptyWindow, NonClosedComplex
 
@@ -39,11 +38,6 @@ class SparseMatrix:
 
     def nnz(self) -> int:
         return sum(len(r) for r in self.rows.values())
-
-    def to_dense(self):
-        return [
-            [self.get(i, j) for j in range(self.ncols)] for i in range(self.nrows)
-        ]
 
     def mul(self, other: "SparseMatrix") -> "SparseMatrix":
         out = SparseMatrix(self.nrows, other.ncols)
@@ -254,71 +248,6 @@ def _xgcd(a: int, b: int):
     return a, x0, y0
 
 
-def rank_over_Q(matrix) -> int:
-    """Independent rank oracle: fraction Gaussian elimination."""
-    if isinstance(matrix, SparseMatrix):
-        matrix = matrix.to_dense()
-    mat = [[Fraction(v) for v in row] for row in matrix]
-    m = len(mat)
-    n = len(mat[0]) if m else 0
-    rank = 0
-    for col in range(n):
-        pivot = next((i for i in range(rank, m) if mat[i][col]), None)
-        if pivot is None:
-            continue
-        mat[rank], mat[pivot] = mat[pivot], mat[rank]
-        pv = mat[rank][col]
-        for i in range(m):
-            if i != rank and mat[i][col]:
-                f = mat[i][col] / pv
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[rank])]
-        rank += 1
-        if rank == m:
-            break
-    return rank
-
-
-def rank_mod2(matrix) -> int:
-    """Rank over GF(2) via bitmask elimination."""
-    if isinstance(matrix, SparseMatrix):
-        rows = [0] * matrix.nrows
-        for i, j, v in matrix.entries():
-            if v % 2:
-                rows[i] ^= 1 << j
-    else:
-        rows = []
-        for row in matrix:
-            bits = 0
-            for j, v in enumerate(row):
-                if v % 2:
-                    bits |= 1 << j
-            rows.append(bits)
-    rank = 0
-    for col_bit in _bits_in_use(rows):
-        pivot = next((i for i in range(rank, len(rows)) if rows[i] & col_bit), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        for i in range(len(rows)):
-            if i != rank and rows[i] & col_bit:
-                rows[i] ^= rows[rank]
-        rank += 1
-    return rank
-
-
-def _bits_in_use(rows):
-    used = 0
-    for r in rows:
-        used |= r
-    out = []
-    bit = 1
-    while bit <= used:
-        if used & bit:
-            out.append(bit)
-        bit <<= 1
-    return out
-
-
 class ChainComplex:
     """Integer boundary matrices per degree, dd = 0 verified exactly."""
 
@@ -470,15 +399,6 @@ def homological_connectivity(res: HomologyResult):
             break
     capped = n == res.computed_through
     return n, "within computed range" if capped else "exact below computed range"
-
-
-def euler_characteristic_from_counts(counts: dict[int, int]) -> int:
-    return sum((-1) ** d * n for d, n in counts.items())
-
-
-def euler_characteristic_from_homology(res: HomologyResult) -> int:
-    # reduced: add back the augmentation rank
-    return 1 + sum((-1) ** d * b for d, b in res.betti.items())
 
 
 def sublevel_complex(ball, t: int):

@@ -132,9 +132,6 @@ class BaseModel:
         raise NotShrinkingModel(f"phi_depth needs O = U with phi shrinking, not {self.kind}")
 
     # -- serialization ----------------------------------------------------
-    def elem_key(self, u):
-        return u
-
     def format_u(self, u) -> str:
         raise NotImplementedError
 

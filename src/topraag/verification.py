@@ -78,6 +78,8 @@ def _check(checks, name, ok, detail=None):
 
 def suite_normal_form(model, graph, rng, samples=300) -> dict:
     """Rewriting-action identities and normal-form bijectivity."""
+    if not graph.vertices:
+        raise ConfigError("the normal-form suite needs a graph with at least one vertex")
     engine = engine_for(model, graph)
     if engine.regime != "automorphic":
         raise RegimeMismatch("the normal-form suite runs on automorphic models")

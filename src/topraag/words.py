@@ -1,11 +1,10 @@
 """Words in a right-angled Artin group and their canonical forms.
 
 A word is a tuple of letters (generator, +1/-1).  The canonical form of a
-word is the ShortLex-least element of its shuffle class after it has been
-made shuffle-reduced: each letter in turn cancels against an earlier inverse
-separated from it only by letters commuting with it, and the reduced word is
-then rewritten greedily into the least lexicographic order of its shuffle
-class.  Two canonical words are equal in the group iff they are equal as
+word is the ShortLex-least word of its class under cancelling and swapping
+commuting letters.  One rule computes it: ``multiply_letter`` appends one
+letter to a canonical word, and ``normal_form`` is its fold from the empty
+word.  Two canonical words are equal in the group iff they are equal as
 tuples.
 """
 
@@ -63,61 +62,15 @@ def free_invert(w: Word) -> Word:
     return tuple((g, -e) for g, e in reversed(w))
 
 
-def _shuffle_reduce(g: Graph, w) -> list[Letter]:
-    # One backward scan per appended letter: skip the letters commuting with
-    # it, then cancel against a matching inverse.  The scan stops at the same
-    # generator or at a non-commuting letter.  A cancelled letter commutes
-    # with every letter after it, so removing it never unblocks another pair
-    # and the output stays reduced.
-    adj = g._adj
-    out = []
-    for letter in w:
-        gen, e = letter
-        i = len(out) - 1
-        while i >= 0 and out[i][0] in adj[gen]:
-            i -= 1
-        if i >= 0 and out[i] == (gen, -e):
-            del out[i]
-        else:
-            out.append(letter)
-    return out
-
-
-def _lex_least(g: Graph, w: list[Letter]) -> list[Letter]:
-    # Greedy extraction of the ShortLex-least member of the shuffle class:
-    # repeatedly emit the least letter that commutes with everything still
-    # pending to its left.  Plain adjacent bubbling to a fixpoint is NOT
-    # enough: a word can be locally swap-minimal without being least (e.g.
-    # over the 4-cycle a-b-c-d the words "a^-1 c^-1 a b" and "a^-1 b c^-1 a"
-    # are both bubble-fixed but equal in the group).
-    # One scan per emitted letter: `allowed` holds the generators commuting
-    # with every pending letter seen so far (no self-loops, so a repeated
-    # generator is blocked too).
-    order, adj = g.order, g._adj
-    pending = list(w)
-    out = []
-    while pending:
-        gen, e = pending[0]
-        best, best_key = 0, (order[gen], e != 1)
-        allowed = adj[gen]
-        for i in range(1, len(pending)):
-            if not allowed:
-                break
-            gen, e = pending[i]
-            if gen in allowed:
-                key = (order[gen], e != 1)
-                if key < best_key:
-                    best, best_key = i, key
-            allowed = allowed & adj[gen]
-        out.append(pending.pop(best))
-    return out
-
-
 def normal_form(g: Graph, w: Word) -> Word:
+    """Canonical form of w: the fold of ``multiply_letter`` from the empty
+    word, canonical by induction on the length."""
     if len(w) > WORD_LENGTH_CAP:
         raise WordLengthCap(f"word of length {len(w)} exceeds cap {WORD_LENGTH_CAP}")
-    check_letters(g, w)
-    return tuple(_lex_least(g, _shuffle_reduce(g, w)))
+    out = ()
+    for x in w:
+        out = multiply_letter(g, out, x)
+    return out
 
 
 def multiply(g: Graph, w1: Word, w2: Word) -> Word:
@@ -125,8 +78,8 @@ def multiply(g: Graph, w1: Word, w2: Word) -> Word:
 
 
 def multiply_letter(g: Graph, w: Word, x: Letter) -> Word:
-    """Canonical form of w x, for w canonical (as normal_form returns it) and
-    one letter x; w is not checked.
+    """Canonical form of w x, for w canonical and one letter x; w is not
+    checked.
 
     Scan back from the end of w past the letters commuting with x.  If the
     scan stops at x^-1, that letter cancels.  Otherwise x may sit anywhere

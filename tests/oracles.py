@@ -1,18 +1,33 @@
 """Reference implementations kept beside the tests as oracles.
 
 ``normal_form_bruteforce`` is the ShortLex-least word of the whole shuffle
-class, found by search; of the word layer it uses only ``check_letters``.
+class, found by search; of the word layer it uses only ``W.check_letters``.
+``normal_form_greedy`` reaches the same word for long inputs by another
+algorithm: one shuffle-reducing pass, then greedy extraction of the least
+letter.
 
 ``chain_complex`` accepts hand-oriented cell lists: a face may be stored
 under any corner indexing of its cube, and every incidence is signed by the
 hypercube symmetry between the stored and the induced indexing.  The
 library's chain_complex requires faces in induced sub-mask order and must
 agree with this one on every complex that topraag produces.
+
+``rank_over_Q`` (fraction elimination) and ``rank_mod2`` (bitmask
+elimination) check the ranks of the Smith normal form; the two Euler
+characteristics check homology against cell counts.
+
+``bs_word_reduce`` / ``bs_words_equal`` decide equality in BS(1, m) by
+pinch-only Britton reduction, ``britton_is_pinch_free`` checks the output of
+``hnn_retract``, and ``AmalgamNormalizer`` gives the classical amalgam normal
+form when phi is the identity on O, independent of the rewriting engine.
 """
 
-from topraag.errors import NonClosedComplex, WordLengthCap
+from fractions import Fraction
+
+from topraag import words as W
+from topraag.elements import invert_tokens, u_token
+from topraag.errors import NonClosedComplex, RegimeMismatch, WordLengthCap
 from topraag.homology import ChainComplex, SparseMatrix
-from topraag.words import check_letters
 
 
 def chain_complex(cells) -> ChainComplex:
@@ -121,7 +136,7 @@ def _permutation_parity(perm) -> bool:
 def shuffle_class(g, w, cap: int = 200_000) -> set:
     """Every word reachable by swaps of adjacent commuting letters and by
     cancelling adjacent inverse pairs.  Brute-force oracle for small words."""
-    check_letters(g, w)
+    W.check_letters(g, w)
     seen = {tuple(w)}
     frontier = [tuple(w)]
     while frontier:
@@ -154,3 +169,264 @@ def normal_form_bruteforce(g, w) -> tuple:
     shortest = min(len(x) for x in cls)
     candidates = [x for x in cls if len(x) == shortest]
     return min(candidates, key=lambda x: [_letter_key(g, l) for l in x])
+
+
+def shuffle_reduce(g, w) -> list:
+    """Cancel every letter against an earlier inverse separated from it only
+    by letters commuting with it, in one pass.
+
+    One backward scan per appended letter: skip the letters commuting with
+    it, then cancel against a matching inverse.  The scan stops at the same
+    generator or at a non-commuting letter.  A cancelled letter commutes
+    with every letter after it, so removing it never unblocks another pair
+    and the output stays reduced.
+    """
+    out = []
+    for letter in w:
+        gen, e = letter
+        i = len(out) - 1
+        while i >= 0 and g.adjacent(gen, out[i][0]):
+            i -= 1
+        if i >= 0 and out[i] == (gen, -e):
+            del out[i]
+        else:
+            out.append(letter)
+    return out
+
+
+def lex_least(g, w) -> list:
+    """Least lexicographic member of the shuffle class of a reduced word.
+
+    Repeatedly emit the least letter that commutes with everything still
+    pending to its left.  Plain adjacent bubbling to a fixpoint is NOT
+    enough: a word can be locally swap-minimal without being least (e.g.
+    over the 4-cycle a-b-c-d the words "a^-1 c^-1 a b" and "a^-1 b c^-1 a"
+    are both bubble-fixed but equal in the group).
+
+    One scan per emitted letter: ``allowed`` holds the generators commuting
+    with every pending letter seen so far (no self-loops, so a repeated
+    generator is blocked too).
+    """
+    pending = list(w)
+    out = []
+    while pending:
+        best, best_key = 0, _letter_key(g, pending[0])
+        allowed = g.neighbors(pending[0][0])
+        for i in range(1, len(pending)):
+            if not allowed:
+                break
+            gen = pending[i][0]
+            if gen in allowed:
+                key = _letter_key(g, pending[i])
+                if key < best_key:
+                    best, best_key = i, key
+            allowed = allowed & g.neighbors(gen)
+        out.append(pending.pop(best))
+    return out
+
+
+def normal_form_greedy(g, w) -> tuple:
+    """Oracle for long words: the greedy extraction of the reduced word."""
+    W.check_letters(g, w)
+    return tuple(lex_least(g, shuffle_reduce(g, w)))
+
+
+def rank_over_Q(matrix) -> int:
+    """Independent rank oracle: fraction Gaussian elimination."""
+    if isinstance(matrix, SparseMatrix):
+        matrix = [[matrix.get(i, j) for j in range(matrix.ncols)] for i in range(matrix.nrows)]
+    mat = [[Fraction(v) for v in row] for row in matrix]
+    m = len(mat)
+    n = len(mat[0]) if m else 0
+    rank = 0
+    for col in range(n):
+        pivot = next((i for i in range(rank, m) if mat[i][col]), None)
+        if pivot is None:
+            continue
+        mat[rank], mat[pivot] = mat[pivot], mat[rank]
+        pv = mat[rank][col]
+        for i in range(m):
+            if i != rank and mat[i][col]:
+                f = mat[i][col] / pv
+                mat[i] = [a - f * b for a, b in zip(mat[i], mat[rank])]
+        rank += 1
+        if rank == m:
+            break
+    return rank
+
+
+def rank_mod2(matrix) -> int:
+    """Rank over GF(2) via bitmask elimination."""
+    if isinstance(matrix, SparseMatrix):
+        rows = [0] * matrix.nrows
+        for i, j, v in matrix.entries():
+            if v % 2:
+                rows[i] ^= 1 << j
+    else:
+        rows = []
+        for row in matrix:
+            bits = 0
+            for j, v in enumerate(row):
+                if v % 2:
+                    bits |= 1 << j
+            rows.append(bits)
+    rank = 0
+    for col_bit in _bits_in_use(rows):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i] & col_bit), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for i in range(len(rows)):
+            if i != rank and rows[i] & col_bit:
+                rows[i] ^= rows[rank]
+        rank += 1
+    return rank
+
+
+def _bits_in_use(rows):
+    used = 0
+    for r in rows:
+        used |= r
+    out = []
+    bit = 1
+    while bit <= used:
+        if used & bit:
+            out.append(bit)
+        bit <<= 1
+    return out
+
+
+def euler_characteristic_from_counts(counts: dict[int, int]) -> int:
+    return sum((-1) ** d * n for d, n in counts.items())
+
+
+def euler_characteristic_from_homology(res) -> int:
+    # reduced: add back the augmentation rank
+    return 1 + sum((-1) ** d * b for d, b in res.betti.items())
+
+
+def britton_is_pinch_free(model, bw) -> bool:
+    """No subword t w t^-1 with w in O nor t^-1 w t with w in phi(O)."""
+    toks = list(bw.tokens)
+    i = 0
+    while i < len(toks):
+        if toks[i][0] != "gen":
+            i += 1
+            continue
+        sign = toks[i][2]
+        j = i + 1
+        u = model.identity()
+        while j < len(toks) and toks[j][0] == "u":
+            u = model.mul(u, toks[j][1])
+            j += 1
+        if j < len(toks) and toks[j][0] == "gen" and toks[j][2] == -sign:
+            inside = model.in_O(u) if sign == 1 else model.in_phiO(u)
+            if inside:
+                return False
+        i += 1
+    return True
+
+
+def bs_word_reduce(model, tokens) -> tuple:
+    """Pinch-only Britton reduction of a word over U and one stable letter.
+
+    Independent of the engines: repeatedly merge adjacent U-letters and
+    remove pinches t u t^-1 -> phi(u) and t^-1 v t -> phi_inv(v) (the latter
+    only when v is divisible by m).  By Britton's lemma the result is trivial
+    iff the word is; no other canonicalization is attempted.
+    """
+    toks = [t for t in tokens]
+    changed = True
+    while changed:
+        changed = False
+        out = []
+        for t in toks:
+            if t[0] == "u" and out and out[-1][0] == "u":
+                out[-1] = u_token(model.mul(out[-1][1], t[1]))
+            elif t[0] == "u" and t[1] == model.identity():
+                continue
+            else:
+                out.append(t)
+        toks = out
+        for i in range(len(toks)):
+            if toks[i][0] != "gen":
+                continue
+            sign = toks[i][2]
+            j = i + 1
+            u = model.identity()
+            if j < len(toks) and toks[j][0] == "u":
+                u = toks[j][1]
+                j += 1
+            if j < len(toks) and toks[j][0] == "gen" and toks[j][2] == -sign:
+                if sign == 1:
+                    toks[i:j + 1] = [u_token(model.phi(u))]
+                    changed = True
+                    break
+                if model.in_phiO(u):
+                    toks[i:j + 1] = [u_token(model.phi_inv(u))]
+                    changed = True
+                    break
+    return tuple(toks)
+
+
+def bs_words_equal(model, toks1, toks2) -> bool:
+    reduced = bs_word_reduce(model, tuple(toks1) + invert_tokens(model, toks2))
+    if any(t[0] == "gen" for t in reduced):
+        return False
+    u = model.identity()
+    for t in reduced:
+        u = model.mul(u, t[1])
+    return u == model.identity()
+
+
+class AmalgamNormalizer:
+    """Canonical forms for phi = id_O: the group is U *_O (O x A_Gamma).
+
+    Elements are written o * c1 * c2 * ... with the c alternating between
+    nontrivial right-coset representatives of O in U and nontrivial Artin
+    words; uniqueness is the classical amalgam normal form.  This is an
+    independent algorithm from the rewriting action and serves as an
+    equality oracle for it.
+    """
+
+    def __init__(self, model, graph):
+        ident = model.identity()
+        for w in getattr(model, "O", [ident]):
+            if model.phi(w) != w:
+                raise RegimeMismatch("amalgam oracle needs phi = id on O")
+        self.model = model
+        self.graph = graph
+
+    def identity(self):
+        return (self.model.identity(), ())
+
+    def normalize(self, tokens):
+        """The form (o, chain); equal elements give equal, hashable forms."""
+        # fold by LEFT multiplication: the O head sits at the left end, so a
+        # prepended letter never cascades through the chain
+        form = self.identity()
+        for tok in reversed(tokens):
+            form = self._left_mul(tok, form)
+        return form
+
+    def _left_mul(self, tok, form):
+        m = self.model
+        o, chain = form
+        if tok[0] == "gen":
+            # Artin letters commute with the O head; merge with a leading
+            # Artin part or prepend a new one
+            word = W.single(tok[1], tok[2])
+            if chain and chain[0][0] == "A":
+                merged = W.multiply(self.graph, word, chain[0][1])
+                if merged:
+                    return o, (("A", merged),) + chain[1:]
+                return o, chain[1:]
+            return o, (("A", word),) + chain
+        u = m.mul(tok[1], o)
+        if chain and chain[0][0] == "U":
+            u = m.mul(u, chain[0][1])
+            chain = chain[1:]
+        omega, rep = m.decompose(u)
+        if rep != m.identity():
+            chain = (("U", rep),) + chain
+        return omega, chain

@@ -4,7 +4,8 @@ import random
 
 import pytest
 
-from topraag.britton import TreeEngine, britton_is_pinch_free, hnn_retract
+from oracles import britton_is_pinch_free
+from topraag.britton import TreeEngine, hnn_retract
 from topraag.errors import RegimeMismatch
 from topraag.graphs import edge_graph, edgeless_graph, single_vertex
 from topraag.models import FiniteModel, ShiftModel, TrivialModel, perm_from_cycles, s3_a3_model

@@ -221,6 +221,15 @@ def test_verify_without_model_exit_2(capsys):
     assert_config_error(code, capsys)
 
 
+@pytest.mark.parametrize("model", ["s3a3.json", "trivial.json"])
+def test_verify_normal_form_on_empty_graph_exit_2(tmp_path, capsys, model):
+    empty = tmp_path / "empty.json"
+    empty.write_text('{"vertices": [], "edges": []}')
+    code = run_cli(["verify", "--suite", "normal-form", "--graph", empty, "--model", CONFIGS / model])
+    err = assert_config_error(code, capsys)
+    assert err == "config error: the normal-form suite needs a graph with at least one vertex\n"
+
+
 def test_verify_honours_vertex_cap(capsys):
     code = run_cli(
         ["verify", "--suite", "stabilisers", "--graph", CONFIGS / "edge.json",

@@ -6,6 +6,12 @@ import signal
 import pytest
 
 import oracles
+from oracles import (
+    euler_characteristic_from_counts,
+    euler_characteristic_from_homology,
+    rank_mod2,
+    rank_over_Q,
+)
 from topraag.errors import EmptyWindow, NonClosedComplex
 from topraag.graphs import complete_graph, cycle_graph, edge_graph, path_graph, single_vertex
 from topraag.models import ShiftModel, TrivialModel, s3_a3_model
@@ -14,13 +20,9 @@ from topraag.homology import (
     SparseMatrix,
     chain_complex,
     clique_complex_homology,
-    euler_characteristic_from_counts,
-    euler_characteristic_from_homology,
     homological_connectivity,
     homology_of_cells,
     persistent_reduced_betti,
-    rank_mod2,
-    rank_over_Q,
     reduced_homology,
     simplicial_chain_complex,
     smith_normal_form,

@@ -3,7 +3,7 @@ from itertools import combinations, product
 
 import pytest
 
-from oracles import normal_form_bruteforce
+from oracles import lex_least, normal_form_bruteforce, normal_form_greedy, shuffle_reduce
 from topraag import words as W
 from topraag.errors import NotAJoinFactor, UnknownGenerator, WordLengthCap
 from topraag.graphs import (
@@ -89,16 +89,19 @@ def restart_shuffle_reduce(g, w):
 
 
 def test_one_pass_shuffle_reduce_matches_restart_loop():
+    # long words: the fold of multiply_letter against the greedy oracle, and
+    # the oracle's one-pass reducer against the restart loop
     rng = random.Random(5)
     for _ in range(3000):
         g = random_graph(rng, max_vertices=6)
         n = rng.randint(0, 80)
         w = tuple((rng.choice(g.vertices), rng.choice((1, -1))) for _ in range(n))
-        fast = W._shuffle_reduce(g, w)
+        fast = shuffle_reduce(g, w)
         ref = restart_shuffle_reduce(g, w)
         assert restart_shuffle_reduce(g, fast) == fast, w
         assert len(fast) == len(ref), w
-        assert W._lex_least(g, fast) == W._lex_least(g, ref), w
+        assert lex_least(g, fast) == lex_least(g, ref), w
+        assert W.normal_form(g, w) == normal_form_greedy(g, w), w
 
 
 def test_normal_form_exhaustive_short_words():
@@ -144,13 +147,15 @@ def test_multiply_letter_exhaustive(g, max_len):
 
 
 def test_multiply_letter_matches_multiply():
+    # W.multiply folds multiply_letter, so the reference product is the
+    # greedy oracle, which also draws the canonical word
     rng = random.Random(7)
     for _ in range(20_000):
         g = random_graph(rng, max_vertices=6)
         n = rng.randint(0, 30)
-        w = W.normal_form(g, tuple((rng.choice(g.vertices), rng.choice((1, -1))) for _ in range(n)))
+        w = normal_form_greedy(g, tuple((rng.choice(g.vertices), rng.choice((1, -1))) for _ in range(n)))
         x = (rng.choice(g.vertices), rng.choice((1, -1)))
-        assert W.multiply_letter(g, w, x) == W.multiply(g, w, (x,)), (g, w, x)
+        assert W.multiply_letter(g, w, x) == normal_form_greedy(g, w + (x,)), (g, w, x)
 
 
 def test_equality_iff_same_normal_form():
