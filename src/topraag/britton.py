@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import words as W
-from .errors import RegimeMismatch
+from .errors import NotInDomain, RegimeMismatch
 from .graphs import Graph, single_vertex
 from .models import BaseModel
 from .elements import Engine, engine_for, gen_token, u_token
@@ -45,6 +45,9 @@ class TreeEngine(Engine):
     def mul_token(self, g, token):
         m = self.model
         if token[0] == "u":
+            # ShiftModel.mul adds any numbers, so check that U = Z here
+            if m.kind == "shift" and not isinstance(token[1], int):
+                raise NotInDomain(f"{token[1]!r} is not in U = Z")
             return TreeElement(g.steps, m.mul(g.tail, token[1]))
         _, gen, sign = token
         if gen not in self.graph._adj or (sign != 1 and sign != -1):

@@ -4,7 +4,11 @@ subgroup O <= U.
 Three families are supported:
 
 * ``FiniteModel``    -- U a permutation group of small degree, O a subgroup,
-                        phi given by images of O's generators;
+                        phi given by images of O's generators; mul, inv and
+                        left_split are lookups in per-model tables that fill
+                        on first use, keyed by the permutation tuples, with
+                        the generic ``BaseModel.left_split`` scan as their
+                        reference;
 * ``ShiftModel``     -- U = Z under addition, phi = multiplication by m >= 2,
                         so O = U and phi(U) = mZ is proper;
 * ``TrivialModel``   -- U = {1}.
@@ -186,6 +190,14 @@ class FiniteModel(BaseModel):
         # u = omega * r for every omega in O and r in R, each u once
         self._decomposition = {perm_mul(w, r): (w, r) for r in self._R for w in self.O}
         self._left = {}
+        # Arithmetic tables over U, keyed by the permutation itself.  inv is
+        # |U| entries; a mul row and the left_split memo fill on first use,
+        # so construction does no per-pair work.  A key that is missing from
+        # _inv is not an element of U.
+        self._identity = ident
+        self._inv = {u: perm_inv(u) for u in self.U}
+        self._mul = {u: {} for u in self.U}
+        self._split = {}
 
     def _extend_phi(self):
         # extend gen |-> image multiplicatively over all of O, failing if
@@ -227,13 +239,30 @@ class FiniteModel(BaseModel):
 
     # -- BaseModel interface ----------------------------------------------
     def identity(self):
-        return perm_identity(self.degree)
+        return self._identity
 
     def mul(self, a, b):
-        return perm_mul(a, b)
+        try:
+            return self._mul[a][b]
+        except (KeyError, TypeError):
+            pass
+        for u in (a, b):
+            if not self._is_element(u):
+                raise NotInDomain(f"{u!r} is not in U")
+        c = self._mul[a][b] = perm_mul(a, b)
+        return c
 
     def inv(self, a):
-        return perm_inv(a)
+        try:
+            return self._inv[a]
+        except (KeyError, TypeError):
+            raise NotInDomain(f"{a!r} is not in U") from None
+
+    def _is_element(self, u) -> bool:
+        try:
+            return u in self._inv
+        except TypeError:  # unhashable, so not a permutation tuple
+            return False
 
     def in_O(self, u):
         return u in self.O
@@ -271,6 +300,16 @@ class FiniteModel(BaseModel):
         # when phi(O) = O
         raise NotInDomain("phi^k(O) with k >= 2 needs phi(O) = O on finite models")
 
+    def left_split(self, u, sign):
+        # memo of the generic scan, which stays the reference
+        key = (u, sign)
+        try:
+            return self._split[key]
+        except (KeyError, TypeError):
+            pass
+        out = self._split[key] = BaseModel.left_split(self, u, sign)
+        return out
+
     def left_transversal(self, k: int):
         if k not in self._left:
             sub = self.phi_k_O(k)
@@ -305,6 +344,8 @@ class FiniteModel(BaseModel):
         p = tuple(int(x) for x in body.split(",")) if body else ()
         if sorted(p) != list(range(self.degree)):
             raise ModelError(f"{token!r} is not a permutation of degree {self.degree}")
+        if p not in self.U:
+            raise ModelError(f"{token!r} is not an element of U")
         return p
 
     def to_json(self):
@@ -429,9 +470,14 @@ class TrivialModel(BaseModel):
         return ()
 
     def mul(self, a, b):
+        for u in (a, b):
+            if u != ():
+                raise NotInDomain(f"{u!r} is not in U = {{1}}")
         return ()
 
     def inv(self, a):
+        if a != ():
+            raise NotInDomain(f"{a!r} is not in U = {{1}}")
         return ()
 
     def in_O(self, u):

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import words as W
-from .errors import DisconnectedGraph, RegimeMismatch
+from .errors import DisconnectedGraph, NotInDomain, RegimeMismatch
 from .graphs import Graph
 from .models import INFINITE, ShiftModel
 from .elements import Engine, gen_token, u_token
@@ -63,6 +63,8 @@ class SemidirectEngine(Engine):
 
     def mul_token(self, g, token):
         if token[0] == "u":
+            if not isinstance(token[1], int):
+                raise NotInDomain(f"{token[1]!r} is not in U = Z")
             return SemidirectElement(g.n + token[1] * self.model.scale(g.e), g.a, g.e)
         _, gen, sign = token
         key = (g.a, gen, sign)

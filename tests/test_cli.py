@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -8,7 +9,8 @@ import pytest
 
 from topraag.cli import main
 
-CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+ROOT = Path(__file__).resolve().parent.parent
+CONFIGS = ROOT / "configs"
 
 
 def run_cli(args):
@@ -325,6 +327,25 @@ def test_deterministic_reports(tmp_path):
         )
         assert code == 0
     assert out1.read_text() == out2.read_text()
+
+
+@pytest.mark.parametrize(
+    "job",
+    [
+        "build --graph configs/k3.json --model configs/s3a3.json --radius 2",
+        "build --graph configs/edge.json --model configs/s3a3.json --radius 3",
+        "build --graph configs/c4.json --model configs/trivial.json --radius 3",
+    ],
+    ids=["k3-s3a3-r2", "edge-s3a3-r3", "c4-trivial-r3"],
+)
+def test_automorphic_export_matches_bench_pin(tmp_path, capsys, job):
+    # the benchmark pins the SHA-256 of each build's --out bytes; the pin file
+    # is read, never written
+    pin = json.loads((ROOT / "bench" / "pins.json").read_text())[job]
+    out = tmp_path / "ball.json"
+    argv = [ROOT / a if a.startswith("configs/") else a for a in job.split()]
+    assert run_cli(argv + ["--out", out]) == pin["exit"]
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == pin["digest"]
 
 
 def test_module_invocation():

@@ -3,18 +3,33 @@ through ``from_tokens``, every derived operation an engine overrides agrees
 with the base derivation from the primitives, ``coset_split`` splits an
 element into its coset's representative and a U-remainder, and ``coset_key``
 and the BFS walk's ``coset_name`` name cosets as the representatives do.
-Also the model's ``left_split``, which moves a U-element past a generator."""
+Also the model's ``left_split``, which moves a U-element past a generator, the
+finite model's arithmetic tables against plain permutation arithmetic, and the
+rejection of U values outside U by every model and engine."""
 
 import inspect
+import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
 from topraag import words as W
-from topraag.elements import Engine, engine_for, gen_token, u_token
-from topraag.errors import UnknownGenerator
+from topraag.elements import Engine, act_letter, base_sequence, engine_for, gen_token, u_token
+from topraag.errors import ModelError, NotInDomain, UnknownGenerator
 from topraag.graphs import cycle_graph, edge_graph, edgeless_graph, path_graph
-from topraag.models import FiniteModel, ShiftModel, TrivialModel, perm_from_cycles, s3_a3_model
+from topraag.models import (
+    BaseModel,
+    FiniteModel,
+    ShiftModel,
+    TrivialModel,
+    model_from_config,
+    perm_from_cycles,
+    perm_identity,
+    perm_inv,
+    perm_mul,
+    s3_a3_model,
+)
 
 S3A3 = s3_a3_model()
 # phi(O) != O on a finite model: only the tree engine has a canonical form
@@ -65,6 +80,18 @@ def u_samples(model):
     if model.kind == "shift":
         return list(range(-3 * model.m, 3 * model.m + 1))
     return [model.identity()]
+
+
+def outside_U(model):
+    """Values that are not elements of the model's U, hashable or not."""
+    if model.kind == "shift":
+        return [1.5, Fraction(1, 2), "1", (0,)]
+    if model.kind == "trivial":
+        return [1, (0,), 1.5, []]
+    d = model.degree
+    # (0, ..., d) is no permutation of degree d, but perm_mul(a, it) == a
+    out = [(0,) * d, tuple(range(d + 1)), list(range(d)), 1.5]
+    return out + [p for p in itertools.permutations(range(d)) if p not in model.U][:1]
 
 
 def random_tokens(model, graph, rng, max_len=10):
@@ -156,6 +183,75 @@ def test_engine_rejects_malformed_letters(regime, model, graph):
                     eng.walk_token(a, bad)
                 with pytest.raises(UnknownGenerator):
                     eng.from_tokens((gen_token(v, 1), bad))
+
+
+@pytest.mark.parametrize("regime, model, graph", CASES, ids=IDS)
+def test_engine_rejects_u_tokens_outside_U(regime, model, graph):
+    # every path a U token enters by raises NotInDomain; the first loop
+    # stores every valid product with the samples, so the second pass of
+    # bad tokens also meets filled tables
+    eng = engine_for(model, graph)
+    v = graph.vertices[0]
+    elems = [eng.identity(), eng.from_tokens(random_tokens(model, graph, random.Random(regime), 8))]
+    for a in elems:
+        for u in u_samples(model):
+            eng.mul_token(a, u_token(u))
+    for _ in range(2):
+        for a in elems:
+            for bad in outside_U(model):
+                with pytest.raises(NotInDomain):
+                    eng.mul_token(a, u_token(bad))
+                with pytest.raises(NotInDomain):
+                    eng.walk_token(a, u_token(bad))
+                with pytest.raises(NotInDomain):
+                    eng.from_tokens((gen_token(v, 1), u_token(bad)))
+
+
+@pytest.mark.parametrize("model", [S3A3, TrivialModel(), INVERSION, F20], ids=["s3a3", "trivial", "inversion", "f20"])
+def test_act_letter_rejects_u_outside_U(model):
+    g = edge_graph()
+    seqs = [base_sequence(model), act_letter(model, g, gen_token("s", 1), base_sequence(model))]
+    for seq in seqs:
+        for bad in outside_U(model):
+            with pytest.raises(NotInDomain):
+                act_letter(model, g, u_token(bad), seq)
+
+
+FINITE = [S3A3, GENERAL, INVERSION, F20]
+FINITE_IDS = ["s3a3", "general", "inversion", "f20"]
+
+
+@pytest.mark.parametrize("model", FINITE, ids=FINITE_IDS)
+def test_finite_tables_match_permutation_arithmetic(model):
+    # a fresh model, so the first pass fills the tables and the second reads them
+    model = model_from_config(model.to_json())
+    us = sorted(model.U)
+    for _ in range(2):
+        assert model.identity() == perm_identity(model.degree)
+        for a in us:
+            assert model.inv(a) == perm_inv(a)
+            for b in us:
+                assert model.mul(a, b) == perm_mul(a, b)
+            for sign in (1, -1):
+                assert model.left_split(a, sign) == BaseModel.left_split(model, a, sign)
+    for bad in outside_U(model):
+        for call in (
+            lambda: model.mul(us[1], bad),
+            lambda: model.mul(bad, us[1]),
+            lambda: model.inv(bad),
+            lambda: model.left_split(bad, 1),
+            lambda: model.left_split(bad, -1),
+        ):
+            with pytest.raises(NotInDomain):
+                call()
+
+
+def test_parse_u_rejects_a_permutation_outside_U():
+    assert F20.parse_u("perm[0,1,2,3,4]") == perm_identity(5)
+    for u in F20.U:
+        assert F20.parse_u(F20.format_u(u)) == u
+    with pytest.raises(ModelError, match="not an element of U"):
+        F20.parse_u("perm[1,0,2,3,4]")
 
 
 def test_engines_keep_only_cheaper_overrides():
