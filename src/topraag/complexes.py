@@ -39,28 +39,7 @@ class Cube:
     dim: int
     ctype: tuple[str, ...]           # sorted clique
     corners: tuple[int, ...]         # vertex ids indexed by subset bitmask of ctype
-    key: frozenset = field(compare=False)
     gelem: object = field(compare=False, default=None)  # defining group element
-
-    def faces(self):
-        """Vertex sets of all faces, one per pair A <= B <= ctype."""
-        d = self.dim
-        out = set()
-        for lo in range(1 << d):
-            rest = [i for i in range(d) if not (lo >> i) & 1]
-            for pick in range(1 << len(rest)):
-                hi_bits = lo
-                for j, i in enumerate(rest):
-                    if (pick >> j) & 1:
-                        hi_bits |= 1 << i
-                # face spans corners x with lo <= x <= hi_bits (bitwise)
-                face = frozenset(
-                    self.corners[x]
-                    for x in range(1 << d)
-                    if (x & lo) == lo and (x | hi_bits) == hi_bits
-                )
-                out.add(face)
-        return out
 
 
 class CubeBall:
@@ -74,10 +53,9 @@ class CubeBall:
         self.dist = []
         self.exponent = []
         self.cubes: list[Cube] = []
-        self.cube_ids: dict[frozenset, int] = {}
-        self.adjacency: dict[int, set[int]] = {}
-        # coset table: table[v][(u, t, sign)] = (w, x) when r_v u t^sign = r_w x
-        # with x in U, None when that coset lies outside the ball
+        self.cube_ids: dict[tuple[int, ...], int] = {}   # corner tuple -> cube index
+        # coset table, the only record of the edges: table[v][(u, t, sign)] = (w, x)
+        # when r_v u t^sign = r_w x with x in U, None when that coset is outside
         self.table: list[dict] = []
         self.apartment_trace = None      # (words -> ids, cubes), built on demand
 
@@ -89,7 +67,6 @@ class CubeBall:
         self.vertex_reps.append(rep)
         self.dist.append(d)
         self.exponent.append(self.engine.exponent(rep))
-        self.adjacency[vid] = set()
         self.table.append({})
         return vid
 
@@ -104,9 +81,6 @@ class CubeBall:
 
     def cubes_of_dim(self, d):
         return [c for c in self.cubes if c.dim == d]
-
-    def degrees(self):
-        return {v: len(ns) for v, ns in self.adjacency.items()}
 
     def interior_vertices(self):
         """Vertices whose whole star (all incident cubes) is inside the ball."""
@@ -131,7 +105,7 @@ class CubeBall:
                 {
                     "dim": c.dim,
                     "type": list(c.ctype),
-                    "verts": sorted(c.key),
+                    "verts": sorted(c.corners),
                     "min_corner": c.corners[0],
                 }
                 for c in self.cubes
@@ -199,8 +173,6 @@ def build_ball(
                 row[u, t, sign] = None
                 continue
             row[u, t, sign] = (wid, model.mul(inv_place[wid], y))
-            ball.adjacency[vid].add(wid)
-            ball.adjacency[wid].add(vid)
     _attach_cubes(ball, cube_cap)
     return ball
 
@@ -209,9 +181,8 @@ def _attach_cubes(ball: CubeBall, cube_cap: int):
     model = ball.model
     # vertices are the 0-cubes
     for vid in range(ball.n_vertices):
-        cube = Cube(0, (), (vid,), frozenset((vid,)), ball.vertex_reps[vid])
-        ball.cube_ids[cube.key] = len(ball.cubes)
-        ball.cubes.append(cube)
+        ball.cube_ids[(vid,)] = len(ball.cubes)
+        ball.cubes.append(Cube(0, (), (vid,), ball.vertex_reps[vid]))
     for nonempty in cliques(ball.graph).nonempty():
         ctype = tuple(sorted(nonempty, key=ball.graph.order.get))
         d = len(ctype)
@@ -220,17 +191,14 @@ def _attach_cubes(ball: CubeBall, cube_cap: int):
                 corners = _cube_corners(ball, vid, c, ctype)
                 if corners is None:
                     continue
-                key = frozenset(corners)
-                if key in ball.cube_ids:
-                    prev = ball.cubes[ball.cube_ids[key]]
-                    if prev.ctype != ctype:
-                        raise AssertionError("one vertex set carries two cube types")
-                    continue
+                # each cube comes from its least-exponent corner and one rep c
+                if corners in ball.cube_ids:
+                    raise AssertionError("one cube attached twice; engine inconsistency")
                 if len(ball.cubes) >= cube_cap:
                     raise ResourceCap(f"cube budget {cube_cap} exhausted")
                 g = ball.engine.mul_token(ball.vertex_reps[vid], u_token(c))
-                ball.cube_ids[key] = len(ball.cubes)
-                ball.cubes.append(Cube(d, ctype, corners, key, g))
+                ball.cube_ids[corners] = len(ball.cubes)
+                ball.cubes.append(Cube(d, ctype, corners, g))
 
 
 def _cube_corners(ball: CubeBall, vid, c, ctype):
@@ -393,7 +361,7 @@ def base_apartment_trace(ball: CubeBall):
             corner_ids = _window_corner_ids(table, verts, word, ctype)
             if corner_ids is None:
                 continue
-            cid = ball.cube_ids.get(frozenset(corner_ids))
+            cid = ball.cube_ids.get(corner_ids)
             if cid is not None:
                 cubes.append((word, ctype, cid))
     ball.apartment_trace = (verts, cubes)
@@ -569,29 +537,32 @@ def vertex_link(ball: CubeBall, v: int) -> SimplicialComplex | None:
 
 def common_face_check(ball: CubeBall):
     """Every pair of cubes with common vertices must meet in a common face."""
-    by_vertex = {}
+    by_vertex, masks = {}, []           # cube ids in increasing order; corner -> mask
     for idx, c in enumerate(ball.cubes):
-        for v in c.key:
-            by_vertex.setdefault(v, set()).add(idx)
-    face_cache = {}
-
-    def faces_of(idx):
-        if idx not in face_cache:
-            face_cache[idx] = ball.cubes[idx].faces()
-        return face_cache[idx]
-
+        masks.append({v: m for m, v in enumerate(c.corners)})
+        for v in c.corners:
+            by_vertex.setdefault(v, []).append(idx)
     checked = set()
-    for v, incident in by_vertex.items():
-        for i, j in itertools.combinations(sorted(incident), 2):
+    for incident in by_vertex.values():
+        for i, j in itertools.combinations(incident, 2):
             if (i, j) in checked:
                 continue
             checked.add((i, j))
-            shared = ball.cubes[i].key & ball.cubes[j].key
-            if not shared:
-                continue
-            if shared not in faces_of(i) or shared not in faces_of(j):
-                return False, (sorted(ball.cubes[i].key), sorted(ball.cubes[j].key))
+            shared = masks[i].keys() & masks[j].keys()
+            if not (_spans_face(masks[i], shared) and _spans_face(masks[j], shared)):
+                return False, (sorted(ball.cubes[i].corners), sorted(ball.cubes[j].corners))
     return True, None
+
+
+def _spans_face(mask_of, shared) -> bool:
+    """Whether the corners in shared span a face of the cube whose corner
+    masks mask_of gives: their masks fill the interval from their AND to
+    their OR."""
+    lo, hi = -1, 0
+    for v in shared:
+        lo &= mask_of[v]
+        hi |= mask_of[v]
+    return len(shared) == 1 << (hi ^ lo).bit_count()
 
 
 def nerve_graph(ball: CubeBall) -> Graph:

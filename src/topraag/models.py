@@ -187,6 +187,7 @@ class FiniteModel(BaseModel):
         self._automorphic = self.phiO == self.O
         self.phi_inv_table = {v: w for w, v in self.phi_table.items()}
         self._R = self._right_transversal(coset_reps)
+        self._reps_given = coset_reps is not None
         # u = omega * r for every omega in O and r in R, each u once
         self._decomposition = {perm_mul(w, r): (w, r) for r in self._R for w in self.O}
         self._left = {}
@@ -349,13 +350,17 @@ class FiniteModel(BaseModel):
         return p
 
     def to_json(self):
-        return {
+        out = {
             "kind": "finite",
             "degree": self.degree,
             "U_gens": [list(g) for g in self.u_gens],
             "O_gens": [list(g) for g in self.o_gens],
             "phi_images": [list(g) for g in self.phi_images],
         }
+        if self._reps_given:
+            # a chosen transversal changes the ball, so it is part of the model
+            out["coset_reps"] = [list(r) for r in self._R]
+        return out
 
 
 class ShiftModel(BaseModel):

@@ -126,7 +126,7 @@ def suite_stabilisers(ball) -> dict:
         brute = stabiliser_bruteforce(ball, cube)
         formula = stabiliser_formula_set(ball, cube)
         if brute != formula:
-            mismatches.append({"type": list(cube.ctype), "verts": sorted(cube.key)})
+            mismatches.append({"type": list(cube.ctype), "verts": sorted(cube.corners)})
     _check(
         checks,
         "brute-force stabiliser equals g phi^|T|(O) g^-1 on every cube",
@@ -224,7 +224,7 @@ def suite_pockets(ball) -> dict:
     if shrinking_with_squares:
         _check(checks, "at least one pocket", len(pockets) >= 1, f"{len(pockets)} found")
         # the BFS numbers the base vertex U first
-        witness = any(0 in a.key & b.key for a, b, _ in pockets)
+        witness = any(0 in a.corners and 0 in b.corners for a, b, _ in pockets)
         _check(checks, "a pocket hangs at the base vertex", witness)
     else:
         _check(checks, "no pockets", not pockets, f"{len(pockets)} found")

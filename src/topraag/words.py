@@ -87,8 +87,9 @@ def multiply_letter(g: Graph, w: Word, x: Letter) -> Word:
     generator comes later in the vertex order, which gives the least such
     word (Hermiller-Meier ShortLex forms of graph products).  The letters
     passed commute with x, so none has x's generator and the sign never
-    decides.  A prepended letter can reorder the letters after it, so left
-    multiples keep ``multiply``.
+    decides.  The letter is stored as the tuple (gen, e), so that a later
+    x^-1 finds it even when x came as a list.  A prepended letter can
+    reorder the letters after it, so left multiples keep ``multiply``.
     """
     gen, e = x
     commuting = g._adj.get(gen)
@@ -106,7 +107,7 @@ def multiply_letter(g: Graph, w: Word, x: Letter) -> Word:
     i += 1
     while i < len(w) and order[w[i][0]] < rank:
         i += 1
-    return w[:i] + (x,) + w[i:]
+    return w[:i] + ((gen, e),) + w[i:]
 
 
 def invert(g: Graph, w: Word) -> Word:

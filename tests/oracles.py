@@ -12,6 +12,10 @@ hypercube symmetry between the stored and the induced indexing.  The
 library's chain_complex requires faces in induced sub-mask order and must
 agree with this one on every complex that topraag produces.
 
+``cube_faces`` lists the faces of a ball cube by enumerating all pairs of
+bitmasks, and ``skeleton_neighbours`` reads the 1-skeleton of a ball from
+its 1-cubes; the ball itself keeps neither.
+
 ``rank_over_Q`` (fraction elimination) and ``rank_mod2`` (bitmask
 elimination) check the ranks of the Smith normal form; the two Euler
 characteristics check homology against cell counts.
@@ -131,6 +135,35 @@ def _permutation_parity(perm) -> bool:
         if length % 2 == 0:
             odd = not odd
     return odd
+
+
+def cube_faces(cube) -> set:
+    """Vertex sets of all 3^d faces of a cube, one per pair A <= B <= ctype:
+    the face of (A, B) spans the corners whose bitmask x has A <= x <= B."""
+    d = cube.dim
+    out = set()
+    for lo in range(1 << d):
+        rest = [i for i in range(d) if not (lo >> i) & 1]
+        for pick in range(1 << len(rest)):
+            hi = lo
+            for j, i in enumerate(rest):
+                if (pick >> j) & 1:
+                    hi |= 1 << i
+            out.add(frozenset(
+                cube.corners[x] for x in range(1 << d) if (x & lo) == lo and (x | hi) == hi
+            ))
+    return out
+
+
+def skeleton_neighbours(ball) -> list[set]:
+    """Neighbours of every vertex of a ball, read from its 1-cubes."""
+    out = [set() for _ in range(ball.n_vertices)]
+    for cube in ball.cubes:
+        if cube.dim == 1:
+            a, b = cube.corners
+            out[a].add(b)
+            out[b].add(a)
+    return out
 
 
 def shuffle_class(g, w, cap: int = 200_000) -> set:

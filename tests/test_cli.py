@@ -335,17 +335,34 @@ def test_deterministic_reports(tmp_path):
         "build --graph configs/k3.json --model configs/s3a3.json --radius 2",
         "build --graph configs/edge.json --model configs/s3a3.json --radius 3",
         "build --graph configs/c4.json --model configs/trivial.json --radius 3",
+        "build --graph configs/edge.json --model configs/shift2.json --radius 5",
+        "build --graph configs/point.json --model configs/shift2.json --radius 8",
+        "build --graph {work}/st.json --model configs/shift2.json --radius 4",
+        "verify --suite links --graph configs/edge.json --model configs/shift2.json --radius 3",
+        "verify --suite pockets --graph configs/path3.json --model configs/shift3.json --radius 3",
+        "verify --suite stabilisers --graph configs/edge.json --model configs/s3a3.json --radius 2",
     ],
-    ids=["k3-s3a3-r2", "edge-s3a3-r3", "c4-trivial-r3"],
+    ids=[
+        "k3-s3a3-r2", "edge-s3a3-r3", "c4-trivial-r3",
+        "edge-shift2-r5", "point-shift2-r8", "st-shift2-r4",
+        "links-edge-shift2-r3", "pockets-path3-shift3-r3", "stabilisers-edge-s3a3-r2",
+    ],
 )
 def test_automorphic_export_matches_bench_pin(tmp_path, capsys, job):
-    # the benchmark pins the SHA-256 of each build's --out bytes; the pin file
-    # is read, never written
+    # the benchmark pins the SHA-256 of each job's --out bytes, for a verify
+    # report after dropping its seed; the pin file is read, never written.
+    # {work}/st.json is the edgeless two-vertex graph of the tree regime.
     pin = json.loads((ROOT / "bench" / "pins.json").read_text())[job]
-    out = tmp_path / "ball.json"
-    argv = [ROOT / a if a.startswith("configs/") else a for a in job.split()]
+    (tmp_path / "st.json").write_text(json.dumps({"vertices": ["s", "t"], "edges": []}))
+    out = tmp_path / "out.json"
+    argv = [ROOT / a if a.startswith("configs/") else a for a in job.format(work=tmp_path).split()]
     assert run_cli(argv + ["--out", out]) == pin["exit"]
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == pin["digest"]
+    data = out.read_bytes()
+    if job.startswith("verify"):
+        report = json.loads(data)
+        report.pop("seed")
+        data = (json.dumps(report, indent=2, sort_keys=True) + "\n").encode()
+    assert hashlib.sha256(data).hexdigest() == pin["digest"]
 
 
 def test_module_invocation():

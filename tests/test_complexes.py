@@ -7,6 +7,7 @@ from types import SimpleNamespace
 
 import pytest
 
+from oracles import cube_faces, skeleton_neighbours
 from topraag import words as W
 from topraag.errors import EmptyWindow, InfiniteStabiliser, NoInteriorVertices, ResourceCap
 from topraag.graphs import (
@@ -19,7 +20,14 @@ from topraag.graphs import (
     is_chordal,
     single_vertex,
 )
-from topraag.models import FiniteModel, ShiftModel, TrivialModel, perm_from_cycles, s3_a3_model
+from topraag.models import (
+    FiniteModel,
+    ShiftModel,
+    TrivialModel,
+    model_from_config,
+    perm_from_cycles,
+    s3_a3_model,
+)
 from topraag.elements import engine_for, gen_token, u_token
 from topraag.complexes import (
     Cube,
@@ -41,6 +49,7 @@ from topraag.complexes import (
     stabiliser_formula_set,
     valley_cells,
     vertex_link,
+    _spans_face,
     _table_step,
 )
 
@@ -55,9 +64,10 @@ def test_ball_counts_bass_serre_tree():
     assert len(ball.cubes_of_dim(1)) == 3
     # radius 2: every vertex within distance 1 has full degree m+1 = 3
     ball2 = build_ball(SM2, single_vertex("s"), 2)
+    neighbours = skeleton_neighbours(ball2)
     for v in range(ball2.n_vertices):
         if ball2.dist[v] <= 1:
-            assert len(ball2.adjacency[v]) == 3
+            assert len(neighbours[v]) == 3
 
 
 def test_ball_counts_edge_shift():
@@ -84,9 +94,10 @@ def test_degree_formula():
     assert cayley_abels_degree(TrivialModel(), EDGE) == 4
     for model, graph in [(SM2, EDGE), (S3A3, EDGE), (TrivialModel(), EDGE)]:
         ball = build_ball(model, graph, 2)
+        neighbours = skeleton_neighbours(ball)
         for v in range(ball.n_vertices):
             if ball.dist[v] <= 1:
-                assert len(ball.adjacency[v]) == cayley_abels_degree(model, graph)
+                assert len(neighbours[v]) == cayley_abels_degree(model, graph)
 
 
 def test_resource_cap():
@@ -107,12 +118,34 @@ def test_vertex_cap_trips_before_listing_probes(monkeypatch):
         build_ball(model, EDGE, 1, vertex_cap=10)
 
 
+# phi = inversion on O = A3: automorphic, but phi is not the identity on O
+INVERSION = FiniteModel(
+    3, S3A3.u_gens, [perm_from_cycles(3, [[0, 1, 2]])], [perm_from_cycles(3, [[0, 2, 1]])]
+)
+# phi(O) != O: only the tree engine applies
+GENERAL = FiniteModel(
+    3, S3A3.u_gens, [perm_from_cycles(3, [[0, 1]])], [perm_from_cycles(3, [[0, 2]])]
+)
+# one ball per engine and regime, the automorphic one with phi not the identity
+TABLE_BALLS = [
+    (S3A3, EDGE, 3),
+    (INVERSION, complete_graph("abc"), 2),
+    (TrivialModel(), cycle_graph("abcd"), 3),
+    (SM2, EDGE, 4),
+    (ShiftModel(3), path_graph("pqr"), 2),
+    (GENERAL, edgeless_graph("st"), 3),
+]
+TABLE_IDS = ["s3a3-edge", "inversion-k3", "trivial-c4", "shift2-edge", "shift3-path3", "general-st"]
+
+
 def test_cube_types_unique_by_vertex_set():
-    ball = build_ball(S3A3, EDGE, 2)
-    seen = {}
-    for c in ball.cubes:
-        assert c.key not in seen or seen[c.key] == c.ctype
-        seen[c.key] = c.ctype
+    # one cube per vertex set, so one type per vertex set
+    for model, graph, radius in TABLE_BALLS:
+        seen = set()
+        for c in build_ball(model, graph, radius).cubes:
+            key = frozenset(c.corners)
+            assert len(key) == len(c.corners) and key not in seen
+            seen.add(key)
 
 
 def test_cube_transitivity_spot_check():
@@ -253,7 +286,8 @@ def test_trichotomy_against_bruteforce():
 
 def _plain_trace(ball):
     # reference: word BFS with engine elements and every cube corner by
-    # words.multiply, no letter table
+    # words.multiply, no letter table; cubes are found by vertex set, not
+    # by the corner order the ball uses
     engine, graph = ball.engine, ball.graph
     seen = {(): engine.from_tokens(())}
     frontier = [()]
@@ -283,13 +317,14 @@ def _plain_trace(ball):
             out.append(w)
         return out
 
+    by_vertex_set = {frozenset(c.corners): i for i, c in enumerate(ball.cubes)}
     cubes = []
     for b in verts:
         for clique in cliques(graph).nonempty():
             ctype = tuple(sorted(clique, key=graph.order.get))
             corners = corner_words(b, ctype)
             if all(w in verts for w in corners):
-                cid = ball.cube_ids.get(frozenset(verts[w] for w in corners))
+                cid = by_vertex_set.get(frozenset(verts[w] for w in corners))
                 if cid is not None:
                     cubes.append((b, ctype, cid))
 
@@ -330,8 +365,8 @@ def test_apartment_trace_matches_plain_corner_walk():
 
 def _engine_walk_ball(model, graph, radius):
     """The ball as built before the coset table: a BFS that keeps no edges,
-    every cube corner multiplied out through the engine and looked up by its
-    coset key, and the 1-skeleton read back from the 1-cubes."""
+    and every cube corner multiplied out through the engine and looked up by
+    its coset key."""
     engine = engine_for(model, graph)
     ball = CubeBall(model, graph, radius, engine)
     root = engine.coset_rep(engine.identity())
@@ -349,8 +384,8 @@ def _engine_walk_ball(model, graph, radius):
                             nxt.append(ball._add_vertex(nb, d + 1, engine.coset_key(nb)))
         frontier = nxt
     for vid in range(ball.n_vertices):
-        ball.cube_ids[frozenset((vid,))] = len(ball.cubes)
-        ball.cubes.append(Cube(0, (), (vid,), frozenset((vid,)), ball.vertex_reps[vid]))
+        ball.cube_ids[(vid,)] = len(ball.cubes)
+        ball.cubes.append(Cube(0, (), (vid,), ball.vertex_reps[vid]))
     for clique in cliques(graph).nonempty():
         ctype = tuple(sorted(clique, key=graph.order.get))
         for vid in range(ball.n_vertices):
@@ -363,46 +398,25 @@ def _engine_walk_ball(model, graph, radius):
                         if (mask >> i) & 1:
                             x = engine.mul_token(x, gen_token(t, 1))
                     corners.append(ball.vertex_id_of(x))
-                key = frozenset(corners)
-                if None in corners or key in ball.cube_ids:
+                corners = tuple(corners)
+                if None in corners or corners in ball.cube_ids:
                     continue
-                assert len(key) == len(corners)
-                ball.cube_ids[key] = len(ball.cubes)
-                ball.cubes.append(Cube(len(ctype), ctype, tuple(corners), key, g))
-    for c in ball.cubes_of_dim(1):
-        a, b = c.corners
-        ball.adjacency[a].add(b)
-        ball.adjacency[b].add(a)
+                assert len(set(corners)) == len(corners)
+                ball.cube_ids[corners] = len(ball.cubes)
+                ball.cubes.append(Cube(len(ctype), ctype, corners, g))
     return ball
 
 
-# phi = inversion on O = A3: automorphic, but phi is not the identity on O
-INVERSION = FiniteModel(
-    3, S3A3.u_gens, [perm_from_cycles(3, [[0, 1, 2]])], [perm_from_cycles(3, [[0, 2, 1]])]
-)
-# phi(O) != O: only the tree engine applies
-GENERAL = FiniteModel(
-    3, S3A3.u_gens, [perm_from_cycles(3, [[0, 1]])], [perm_from_cycles(3, [[0, 2]])]
-)
-
-
-@pytest.mark.parametrize(
-    "model, graph, radius",
-    [
-        (S3A3, EDGE, 3),
-        (INVERSION, complete_graph("abc"), 2),
-        (TrivialModel(), cycle_graph("abcd"), 3),
-        (SM2, EDGE, 4),
-        (ShiftModel(3), path_graph("pqr"), 2),
-        (GENERAL, edgeless_graph("st"), 3),
-    ],
-    ids=["s3a3-edge", "inversion-k3", "trivial-c4", "shift2-edge", "shift3-path3", "general-st"],
-)
+@pytest.mark.parametrize("model, graph, radius", TABLE_BALLS, ids=TABLE_IDS)
 def test_coset_table_matches_engine_corner_walk(model, graph, radius):
     ball = build_ball(model, graph, radius)
     ref = _engine_walk_ball(model, graph, radius)
     assert ball.to_json() == ref.to_json()
-    assert ball.adjacency == ref.adjacency
+    # the table holds every edge: its targets in the ball are the neighbours
+    # along the reference's 1-cubes
+    ref_neighbours = skeleton_neighbours(ref)
+    for v, row in enumerate(ball.table):
+        assert {entry[0] for entry in row.values() if entry} == ref_neighbours[v]
     key = ball.engine.key
     assert [key(c.gelem) for c in ball.cubes] == [key(c.gelem) for c in ref.cubes]
     # every table entry r_v u t^sign = r_w x, and every walk step
@@ -593,7 +607,7 @@ def test_pockets_shift_edge():
     moved_id = ball.vertex_ids[engine.coset_key(moved)]
     expected_pair = False
     for a, b, shared in pockets:
-        sets = {frozenset(a.key), frozenset(b.key)}
+        sets = {frozenset(a.corners), frozenset(b.corners)}
         if frozenset(ids) in sets:
             other = next(s for s in sets if s != frozenset(ids))
             if moved_id in other:
@@ -632,10 +646,36 @@ def test_pockets_iff_face_condition_fails():
         assert ok == (not detect_pockets(ball))
 
 
+@pytest.mark.parametrize(
+    "model, graph, radius",
+    TABLE_BALLS + [(SM2, complete_graph("abc"), 2)],
+    ids=TABLE_IDS + ["shift2-k3"],
+)
+def test_face_mask_test_matches_face_enumeration(model, graph, radius):
+    # every pair of cubes sharing a vertex: the shared corners pass the mask
+    # test of a cube iff they are the vertex set of one of its 3^d faces
+    ball = build_ball(model, graph, radius)
+    masks = [{v: m for m, v in enumerate(c.corners)} for c in ball.cubes]
+    faces = [cube_faces(c) for c in ball.cubes]
+    by_vertex = {}
+    for i, c in enumerate(ball.cubes):
+        for v in c.corners:
+            by_vertex.setdefault(v, []).append(i)
+    pairs = {p for owners in by_vertex.values() for p in itertools.combinations(owners, 2)}
+    outcomes = set()
+    for i, j in pairs:
+        shared = masks[i].keys() & masks[j].keys()
+        for k in (i, j):
+            spans = _spans_face(masks[k], shared)
+            assert spans == (frozenset(shared) in faces[k])
+            outcomes.add(spans)
+    assert outcomes == ({True, False} if detect_pockets(ball) else {True})
+
+
 def _pockets_all_pairs(ball):
     # reference: every pair of squares compared through their face sets
     squares = [c for c in ball.cubes if c.dim == 2]
-    edge_sets = [{f for f in c.faces() if len(f) == 2} for c in squares]
+    edge_sets = [{f for f in cube_faces(c) if len(f) == 2} for c in squares]
     pockets = []
     for i, j in itertools.combinations(range(len(squares)), 2):
         shared = edge_sets[i] & edge_sets[j]
@@ -661,7 +701,7 @@ def test_pockets_match_all_pairs_scan():
         assert pockets == _pockets_all_pairs(ball)
     # in the balls above every pocket shares the edges at its base corner;
     # this pair shares the two edges at its top corner instead
-    squares = [Cube(2, ("s", "t"), c, frozenset(c)) for c in ((0, 1, 2, 3), (4, 1, 2, 3))]
+    squares = [Cube(2, ("s", "t"), c) for c in ((0, 1, 2, 3), (4, 1, 2, 3))]
     top_pair = SimpleNamespace(cubes=squares)
     assert detect_pockets(top_pair) == _pockets_all_pairs(top_pair) != []
 
@@ -714,6 +754,24 @@ def test_export_roundtrip(tmp_path):
     assert (tmp_path / "ball2.json").read_text() == path.read_text()
 
 
+def test_export_keeps_explicit_transversal(tmp_path):
+    # a chosen transversal changes the ball, so the model JSON carries it,
+    # and a model rebuilt from that JSON exports the same bytes
+    cfg = {**S3A3.to_json(), "coset_reps": [[0, 1, 2], [1, 0, 2]]}
+    assert "coset_reps" not in S3A3.to_json()
+    m = model_from_config(cfg)
+    assert m.to_json() == cfg
+    again = model_from_config(m.to_json())
+    assert again.transversal_R() == m.transversal_R()
+    paths = [tmp_path / f"{name}.json" for name in ("given", "again", "canonical")]
+    for model, path in zip((m, again, S3A3), paths):
+        export_ball(build_ball(model, EDGE, 2), path)
+    given, again_bytes, canonical = (p.read_bytes() for p in paths)
+    assert given == again_bytes
+    assert given != canonical
+    assert json.loads(given)["meta"]["model"] != json.loads(canonical)["meta"]["model"]
+
+
 def test_edgeless_tree_ball_general_finite_model():
     # a finite model with phi(O) != O still builds Bass-Serre trees
     t12 = perm_from_cycles(3, [[0, 1]])
@@ -721,5 +779,5 @@ def test_edgeless_tree_ball_general_finite_model():
     m = FiniteModel(3, S3A3.u_gens, [t12], [t13])
     ball = build_ball(m, edgeless_graph("st"), 1)
     # degree: 2 generators * (|U:phiO| + |U:O|) = 2 * (3 + 3) = 12
-    assert len(ball.adjacency[0]) == cayley_abels_degree(m, edgeless_graph("st")) == 12
+    assert len(skeleton_neighbours(ball)[0]) == cayley_abels_degree(m, edgeless_graph("st")) == 12
     assert not detect_pockets(ball)

@@ -158,6 +158,17 @@ def test_multiply_letter_matches_multiply():
         assert W.multiply_letter(g, w, x) == normal_form_greedy(g, w + (x,)), (g, w, x)
 
 
+def test_list_letters_spell_the_same_words():
+    # a word read from JSON spells its letters as lists; they cancel and sort
+    # as tuple letters do, and come back as tuples
+    assert W.normal_form(EDGE, [["s", 1], ["s", -1]]) == ()
+    rng = random.Random(8)
+    for _ in range(2000):
+        g = random_graph(rng)
+        w = tuple((rng.choice(g.vertices), rng.choice((1, -1))) for _ in range(rng.randint(0, 12)))
+        assert W.normal_form(g, [list(x) for x in w]) == W.normal_form(g, w), (g, w)
+
+
 def test_equality_iff_same_normal_form():
     # two spellings of the same element agree; distinct elements do not
     g = C4
