@@ -140,7 +140,16 @@ def build_ball(
     A probe r_v u t^sign moves the walk at r_v by two tokens, and
     engine.coset_name reads its coset key and y with r_v u t^sign = b y, b
     fixed by the key.  With r_w = b p_w the table entry is x = p_w^-1 y.
-    Only a new vertex pays for its canonical representative."""
+    Only a new vertex pays for its canonical representative.
+
+    Each probe also fills the reverse entry (the deduction step of
+    Todd-Coxeter coset enumeration): with x t^-sign = u' t^-sign c from
+    model.left_split, r_w u' t^-sign = r_v u c^-1.  A letter already in a
+    row is not probed.  Every edge changes the exponent by 1 and e(U) = 0,
+    so the 1-skeleton is bipartite and adjacent vertices lie at distances
+    differing by exactly 1: each in-ball edge of a vertex at the radius was
+    deduced from its inner end, and the rest of its row is None without a
+    probe.  The engine names 1 + #edges cosets in all."""
     engine = engine_for(model, graph)
     ball = CubeBall(model, graph, radius, engine)
     walks, inv_place = [], []            # per vertex w: the walk at r_w, p_w^-1
@@ -161,18 +170,27 @@ def build_ball(
     for vid, here in enumerate(walks):
         d = ball.dist[vid]
         row = ball.table[vid]
+        if d == radius:
+            for letter in letters:
+                row.setdefault(letter, None)
+            continue
         for u, t, sign in letters:
+            if (u, t, sign) in row:
+                continue
             walk = engine.walk_token(engine.walk_token(here, u_token(u)), gen_token(t, sign))
             key, y = engine.coset_name(walk)
             wid = ball.vertex_ids.get(key)
-            if wid is None and d < radius:
+            if wid is None:
                 if ball.n_vertices >= vertex_cap:
                     raise ResourceCap(f"vertex budget {vertex_cap} exhausted at radius {d + 1}")
                 wid = add(walk, key, y, d + 1)
-            if wid is None:
-                row[u, t, sign] = None
-                continue
-            row[u, t, sign] = (wid, model.mul(inv_place[wid], y))
+            x = model.mul(inv_place[wid], y)
+            row[u, t, sign] = (wid, x)
+            back, c = model.left_split(x, -sign)
+            reverse = ball.table[wid]
+            if (back, t, -sign) in reverse:
+                raise AssertionError("coset table entry deduced twice; engine inconsistency")
+            reverse[back, t, -sign] = (vid, model.mul(u, model.inv(c)))
     _attach_cubes(ball, cube_cap)
     return ball
 
@@ -581,6 +599,36 @@ def nerve_graph(ball: CubeBall) -> Graph:
     return validate_graph({"vertices": labels, "edges": edges})
 
 
+_VERTEX_RECORD = '{\n      "dist": %d,\n      "exp": %d,\n      "id": %d,\n      "rep": %s\n    }'
+_CUBE_RECORD = '{\n      "dim": %d,\n      "min_corner": %d,\n      "type": %s,\n      "verts": %s\n    }'
+
+
+def _json_list(items, indent):
+    """A JSON list of already encoded items as json.dumps(indent=2) lays it
+    out with its items at the given indent."""
+    items = list(items)
+    if not items:
+        return "[]"
+    pad = "\n" + " " * indent
+    return "[" + pad + ("," + pad).join(items) + "\n" + " " * (indent - 2) + "]"
+
+
 def export_ball(ball: CubeBall, path):
+    """Write json.dumps(ball.to_json(), indent=2, sort_keys=True) and a
+    newline, byte for byte, one record at a time: json.dumps with indent runs
+    the pure-Python encoder, so it encodes only the strings and the small
+    meta block here."""
+    data = ball.to_json()
+    vertices = [
+        _VERTEX_RECORD % (v["dist"], v["exp"], v["id"], json.dumps(v["rep"]))
+        for v in data["vertices"]
+    ]
+    cubes = [
+        _CUBE_RECORD % (c["dim"], c["min_corner"], _json_list(map(json.dumps, c["type"]), 8),
+                        _json_list(map(str, c["verts"]), 8))
+        for c in data["cubes"]
+    ]
+    meta = json.dumps(data["meta"], indent=2, sort_keys=True).replace("\n", "\n  ")
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(ball.to_json(), indent=2, sort_keys=True) + "\n")
+        fh.write('{\n  "cubes": %s,\n  "meta": %s,\n  "vertices": %s\n}\n'
+                 % (_json_list(cubes, 4), meta, _json_list(vertices, 4)))

@@ -8,6 +8,7 @@ from types import SimpleNamespace
 import pytest
 
 from oracles import cube_faces, skeleton_neighbours
+from test_engine_contract import F20
 from topraag import words as W
 from topraag.errors import EmptyWindow, InfiniteStabiliser, NoInteriorVertices, ResourceCap
 from topraag.graphs import (
@@ -19,6 +20,7 @@ from topraag.graphs import (
     edgeless_graph,
     is_chordal,
     single_vertex,
+    validate_graph,
 )
 from topraag.models import (
     FiniteModel,
@@ -28,7 +30,7 @@ from topraag.models import (
     perm_from_cycles,
     s3_a3_model,
 )
-from topraag.elements import engine_for, gen_token, u_token
+from topraag.elements import AutomorphicEngine, Engine, engine_for, gen_token, u_token
 from topraag.complexes import (
     Cube,
     CubeBall,
@@ -407,6 +409,35 @@ def _engine_walk_ball(model, graph, radius):
     return ball
 
 
+def _probed_table_ball(model, graph, radius):
+    """The vertices and coset table of the ball as built before deduction:
+    the same walks, but every letter probed from every vertex, boundary
+    vertices included; no cubes."""
+    engine = engine_for(model, graph)
+    ball = CubeBall(model, graph, radius, engine)
+    walks, inv_place = [], []
+
+    def add(walk, key, y, d):
+        rep, x, walk = engine.walk_split(walk, key, y)
+        walks.append(walk)
+        inv_place.append(model.mul(x, model.inv(y)))
+        return ball._add_vertex(rep, d, key)
+
+    add(engine.identity(), *engine.coset_name(engine.identity()), 0)
+    letters = [(u, t, sign) for t in graph.vertices for sign in (1, -1)
+               for u in model.left_transversal(1 if sign == 1 else 0)]
+    for vid, here in enumerate(walks):
+        d = ball.dist[vid]
+        for u, t, sign in letters:
+            walk = engine.walk_token(engine.walk_token(here, u_token(u)), gen_token(t, sign))
+            key, y = engine.coset_name(walk)
+            wid = ball.vertex_ids.get(key)
+            if wid is None and d < radius:
+                wid = add(walk, key, y, d + 1)
+            ball.table[vid][u, t, sign] = wid if wid is None else (wid, model.mul(inv_place[wid], y))
+    return ball
+
+
 @pytest.mark.parametrize("model, graph, radius", TABLE_BALLS, ids=TABLE_IDS)
 def test_coset_table_matches_engine_corner_walk(model, graph, radius):
     ball = build_ball(model, graph, radius)
@@ -440,6 +471,60 @@ def test_coset_table_matches_engine_corner_walk(model, graph, radius):
         for y in ys:
             for t in graph.vertices:
                 assert holds(v, y, t, 1, _table_step(ball, v, y, t))
+
+
+# TABLE_BALLS, the tree engine over a shift model, an automorphic model whose
+# phi has order 4, and a chosen transversal under which half the deduced
+# entries carry a nontrivial conjugate c
+DEDUCTION_BALLS = TABLE_BALLS + [
+    (SM2, edgeless_graph("st"), 4),
+    (F20, EDGE, 2),
+    (model_from_config({**S3A3.to_json(), "coset_reps": [[0, 1, 2], [1, 0, 2]]}), EDGE, 3),
+]
+DEDUCTION_IDS = TABLE_IDS + ["shift2-st", "f20-edge", "s3a3-reps-edge"]
+
+
+@pytest.mark.parametrize("model, graph, radius", DEDUCTION_BALLS, ids=DEDUCTION_IDS)
+def test_deduced_table_matches_probed_table(model, graph, radius):
+    ball = build_ball(model, graph, radius)
+    ref = _probed_table_ball(model, graph, radius)
+    assert list(ball.vertex_ids.items()) == list(ref.vertex_ids.items())
+    assert ball.dist == ref.dist
+    assert ball.table == ref.table
+    degree = cayley_abels_degree(model, graph)
+    assert all(len(row) == degree for row in ball.table)
+    # the parity fact that lets the boundary rows go unprobed
+    for v, row in enumerate(ball.table):
+        assert all(abs(ball.dist[entry[0]] - ball.dist[v]) == 1 for entry in row.values() if entry)
+
+
+@pytest.mark.parametrize(
+    "model, graph, radius, probes",
+    [(ShiftModel(3), path_graph("pqr"), 4, 7_585), (S3A3, EDGE, 3, 393), (SM2, EDGE, 5, 931)],
+    ids=["shift3-path3", "s3a3-edge", "shift2-edge"],
+)
+def test_ball_names_one_coset_per_edge(monkeypatch, model, graph, radius, probes):
+    calls = []
+    for cls in (Engine, AutomorphicEngine):
+        def counted(self, walk, name=cls.coset_name):
+            calls.append(None)
+            return name(self, walk)
+
+        monkeypatch.setattr(cls, "coset_name", counted)
+    ball = build_ball(model, graph, radius)
+    ends = sum(entry is not None for row in ball.table for entry in row.values())
+    assert ends % 2 == 0
+    # the base vertex, then one probe per edge
+    assert len(calls) == 1 + ends // 2 == probes
+
+
+def test_deduction_into_a_filled_slot_raises(monkeypatch):
+    # a left_split that sends every remainder to the representative 0 deduces
+    # two edges into one slot of a radius-2 vertex
+    model = ShiftModel(2)
+    monkeypatch.setattr(model, "left_split", lambda u, sign: (0, 0))
+    with pytest.raises(AssertionError, match="^coset table entry deduced twice; engine inconsistency$"):
+        build_ball(model, EDGE, 2)
 
 
 @pytest.mark.parametrize(
@@ -752,6 +837,20 @@ def test_export_roundtrip(tmp_path):
     # deterministic output
     export_ball(build_ball(SM2, EDGE, 1), tmp_path / "ball2.json")
     assert (tmp_path / "ball2.json").read_text() == path.read_text()
+
+
+@pytest.mark.parametrize(
+    "model, graph, radius",
+    TABLE_BALLS + [(SM2, validate_graph({"vertices": ["é", '"b'], "edges": [["é", '"b']]}), 2)],
+    ids=TABLE_IDS + ["shift2-escaped-labels"],
+)
+def test_export_matches_indented_dumps(tmp_path, model, graph, radius):
+    # the record-by-record writer against the pure-Python encoder, with
+    # 0-cubes' empty "type" lists and labels that need escaping
+    ball = build_ball(model, graph, radius)
+    export_ball(ball, tmp_path / "ball.json")
+    expected = json.dumps(ball.to_json(), indent=2, sort_keys=True) + "\n"
+    assert (tmp_path / "ball.json").read_text(encoding="utf-8") == expected
 
 
 def test_export_keeps_explicit_transversal(tmp_path):
