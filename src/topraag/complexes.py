@@ -23,6 +23,7 @@ from .errors import (
     EmptyWindow,
     InfiniteStabiliser,
     NoInteriorVertices,
+    NotInDomain,
     RegimeMismatch,
     ResourceCap,
 )
@@ -39,7 +40,7 @@ class Cube:
     dim: int
     ctype: tuple[str, ...]           # sorted clique
     corners: tuple[int, ...]         # vertex ids indexed by subset bitmask of ctype
-    gelem: object = field(compare=False, default=None)  # defining group element
+    rep: object = field(compare=False, default=None)  # c: the cube is r_corners[0] c Q_ctype
 
 
 class CubeBall:
@@ -69,6 +70,11 @@ class CubeBall:
         self.exponent.append(self.engine.exponent(rep))
         self.table.append({})
         return vid
+
+    def cube_element(self, cube: Cube):
+        """The element g = r_v c defining the cube, v = cube.corners[0]: its
+        corner of mask S is g t_S U."""
+        return self.engine.mul_token(self.vertex_reps[cube.corners[0]], u_token(cube.rep))
 
     def vertex_id_of(self, elem) -> int | None:
         """Id of the vertex (coset) containing the element, if in the ball."""
@@ -135,7 +141,9 @@ def build_ball(
 ) -> CubeBall:
     """BFS the coset 1-skeleton to the given radius, recording every edge in
     the coset table, then attach every cube all of whose corners landed
-    inside.
+    inside, each d-cube grown from one of its (d-1)-faces in the table
+    (_attach_cubes).  A cube stores its transversal rep c, not its defining
+    element; ball.cube_element(cube) multiplies that out on demand.
 
     A probe r_v u t^sign moves the walk at r_v by two tokens, and
     engine.coset_name reads its coset key and y with r_v u t^sign = b y, b
@@ -196,44 +204,102 @@ def build_ball(
 
 
 def _attach_cubes(ball: CubeBall, cube_cap: int):
-    model = ball.model
+    """Attach every cube of the ball, one dimension at a time, each d-cube
+    grown from a (d-1)-face that is already attached.
+
+    A cube (v, c, T) is r_v c Q_T, c in left_transversal(|T|); its corner of
+    mask S is the vertex w_S of the state (w_S, y_S) with r_v c t_S = r_w y_S.
+    The 1-cube of type t is the up-entry table[v][(c, t, +1)].  For d >= 2
+    let t be the last letter of T and split c = c0 omega (_face_splits).
+    Since omega t' = t' phi^-1(omega) for t' in T', the states of the face
+    (v, c0, T - t) with y_S turned into y_S phi^-|S|(omega) are the first
+    half, and the second half is those stepped once by t in the table.
+    Cubes keep the order (type, v, position of c); the states of dimension
+    d - 1 are dropped once dimension d is built."""
+    model, table = ball.model, ball.table
+    ident = model.identity()
     # vertices are the 0-cubes
     for vid in range(ball.n_vertices):
         ball.cube_ids[(vid,)] = len(ball.cubes)
-        ball.cubes.append(Cube(0, (), (vid,), ball.vertex_reps[vid]))
-    for nonempty in cliques(ball.graph).nonempty():
-        ctype = tuple(sorted(nonempty, key=ball.graph.order.get))
-        d = len(ctype)
-        for vid in range(ball.n_vertices):
-            for c in model.left_transversal(d):
-                corners = _cube_corners(ball, vid, c, ctype)
-                if corners is None:
-                    continue
-                # each cube comes from its least-exponent corner and one rep c
-                if corners in ball.cube_ids:
-                    raise AssertionError("one cube attached twice; engine inconsistency")
-                if len(ball.cubes) >= cube_cap:
-                    raise ResourceCap(f"cube budget {cube_cap} exhausted")
-                g = ball.engine.mul_token(ball.vertex_reps[vid], u_token(c))
-                ball.cube_ids[corners] = len(ball.cubes)
-                ball.cubes.append(Cube(d, ctype, corners, g))
+        ball.cubes.append(Cube(0, (), (vid,), ident))
+
+    def attach(d, ctype, c, states):
+        corners = tuple([w for w, _ in states])
+        if len(set(corners)) != len(corners):
+            raise AssertionError("cube corners collapsed; engine inconsistency")
+        # each cube comes from its least-exponent corner and one rep c
+        if corners in ball.cube_ids:
+            raise AssertionError("one cube attached twice; engine inconsistency")
+        if len(ball.cubes) >= cube_cap:
+            raise ResourceCap(f"cube budget {cube_cap} exhausted")
+        ball.cube_ids[corners] = len(ball.cubes)
+        ball.cubes.append(Cube(d, ctype, corners, c))
+
+    by_dim = {}                          # nonempty() lists the cliques by size
+    for clique in cliques(ball.graph).nonempty():
+        by_dim.setdefault(len(clique), []).append(tuple(sorted(clique, key=ball.graph.order.get)))
+    top = max(by_dim, default=0)
+    faces = {}                           # ctype -> {v: {c: states}} of the last dimension
+    for d, ctypes in by_dim.items():
+        grown = {}
+        if d == 1:
+            for ctype in ctypes:
+                here = grown[ctype] = {}
+                ups = [(c, (c, ctype[0], 1)) for c in model.left_transversal(1)]
+                for vid, row in enumerate(table):
+                    for c, up in ups:
+                        entry = row[up]
+                        if entry is not None:
+                            states = [(vid, c), entry]
+                            attach(1, ctype, c, states)
+                            if d < top:
+                                here.setdefault(vid, {})[c] = states
+        else:
+            splits = _face_splits(model, d)
+            for ctype in ctypes:
+                t = ctype[-1]
+                here = grown[ctype] = {}
+                for vid, below in faces[ctype[:-1]].items():
+                    for c, c0, lift in splits:
+                        face = below.get(c0)
+                        if face is None:
+                            continue
+                        if lift is not None:
+                            face = [(w, model.mul(y, z)) for (w, y), z in zip(face, lift)]
+                        states = list(face)
+                        for w, y in face:
+                            state = _table_step(ball, w, y, t)
+                            if state is None:
+                                break
+                            states.append(state)
+                        else:
+                            attach(d, ctype, c, states)
+                            if d < top:
+                                here.setdefault(vid, {})[c] = states
+        faces = grown
 
 
-def _cube_corners(ball: CubeBall, vid, c, ctype):
-    """Corner vertex ids of gQ_T, g = r_vid c, by subset bitmask, or None if
-    some corner is outside the ball: the corner of a mask is the corner of the
-    mask without its highest bit times that letter, walked in the coset table."""
-    states = [(vid, c)]
-    for t in ctype:
-        for k in range(len(states)):
-            state = _table_step(ball, *states[k], t)
-            if state is None:
-                return None
-            states.append(state)
-    corners = tuple(w for w, _ in states)
-    if len(set(corners)) != len(corners):
-        raise AssertionError("cube corners collapsed; engine inconsistency")
-    return corners
+def _face_splits(model: BaseModel, d: int):
+    """(c, c0, lift) for each c in left_transversal(d), in order: c = c0 omega
+    with c0 in left_transversal(d - 1) and omega in phi^{d-1}(O), and
+    lift[mask] = phi^-|S|(omega) for the subset S of a (d-1)-clique with
+    that mask, or None when omega is trivial.  omega is in phi^{d-1}(O) iff
+    phi_power(omega, 1 - d) is defined."""
+    ident = model.identity()
+    out = []
+    for c in model.left_transversal(d):
+        for c0 in model.left_transversal(d - 1):
+            omega = model.mul(model.inv(c0), c)
+            try:
+                lifts = [model.phi_power(omega, -k) for k in range(d)]
+            except NotInDomain:
+                continue
+            lift = None if omega == ident else [lifts[m.bit_count()] for m in range(1 << (d - 1))]
+            out.append((c, c0, lift))
+            break
+        else:
+            raise AssertionError("left transversal failed to cover U")
+    return out
 
 
 def _table_step(ball: CubeBall, w, y, t):
@@ -247,13 +313,14 @@ def _table_step(ball: CubeBall, w, y, t):
 # -- stabilisers -------------------------------------------------------------
 
 def stabiliser_formula_set(ball: CubeBall, cube: Cube):
-    """The set g phi^{|T|}(O) g^{-1} for finite models, with g the element
-    defining the cube (same-coset substitutes would conjugate wrongly)."""
+    """The set g phi^{|T|}(O) g^{-1} for finite models, with g =
+    ball.cube_element(cube) = r_v c the element defining the cube (another
+    element of the coset r_v U would conjugate wrongly)."""
     model = ball.model
     if not hasattr(model, "U"):
         raise InfiniteStabiliser("stabiliser sets need a finite model")
     engine = ball.engine
-    g = cube.gelem
+    g = ball.cube_element(cube)
     # a vertex is stabilised by all of gUg^-1; positive cubes by g phi^k(O) g^-1
     members = model.U if cube.dim == 0 else model.phi_k_O(cube.dim)
     out = set()
@@ -264,12 +331,14 @@ def stabiliser_formula_set(ball: CubeBall, cube: Cube):
 
 
 def stabiliser_bruteforce(ball: CubeBall, cube: Cube):
-    """Candidates g u g^{-1} with u in U that fix every corner of the cube."""
+    """The candidates g u g^{-1}, u in U, that fix every corner of the cube,
+    with g = ball.cube_element(cube).  The corner of the empty mask is gU,
+    whose stabiliser is gUg^{-1}, so this is the whole pointwise stabiliser."""
     model = ball.model
     if not hasattr(model, "U"):
         raise InfiniteStabiliser("brute-force stabilisers need a finite model")
     engine = ball.engine
-    g = cube.gelem
+    g = ball.cube_element(cube)
     out = set()
     for u in sorted(model.U):
         n = engine.mul(engine.mul_token(g, u_token(u)), engine.inv(g))

@@ -76,20 +76,12 @@ def base_sequence(model: BaseModel, u=None) -> NormalSequence:
     return NormalSequence(model.identity() if u is None else u, ())
 
 
-def _phi_power(model: BaseModel, e: int, w):
-    """phi^e(w) for w in O; phi is an automorphism of O in this regime."""
-    step = model.phi if e > 0 else model.phi_inv
-    for _ in range(abs(e)):
-        w = step(w)
-    return w
-
-
 def _left_block(model: BaseModel, g: Graph, a: W.Word, e: int, seq: NormalSequence) -> NormalSequence:
     """a * seq for a nonempty canonical Artin word a of exponent e: with
     head = omega u_hat, a omega = phi^e(omega) a, and a merges into the
     first block only when u_hat is trivial."""
     omega, u_hat = model.decompose(seq.head)
-    head = _phi_power(model, e, omega)
+    head = model.phi_power(omega, e)
     if not seq.tail or u_hat != model.identity():
         return NormalSequence(head, ((a, u_hat),) + seq.tail)
     (a1, u1), rest = seq.tail[0], seq.tail[1:]
@@ -112,7 +104,7 @@ def _right_u(model: BaseModel, seq: NormalSequence, u) -> NormalSequence:
         a, r = tail[i]
         omega, r = model.decompose(model.mul(r, c))
         tail[i] = (a, r)
-        c = _phi_power(model, W.exponent(a), omega)
+        c = model.phi_power(omega, W.exponent(a))
     return NormalSequence(model.mul(seq.head, c), tuple(tail))
 
 

@@ -95,6 +95,15 @@ class BaseModel:
     def phi_inv(self, v):
         raise NotImplementedError
 
+    def phi_power(self, w, e: int):
+        """phi^e(w): e steps of phi (or -e of phi_inv) from w, raising
+        NotInDomain at the first step that leaves the domain.  The loop is
+        the reference for every model's faster form."""
+        step = self.phi if e > 0 else self.phi_inv
+        for _ in range(abs(e)):
+            w = step(w)
+        return w
+
     def transversal_R(self):
         """Representatives of the right cosets O\\U, identity included."""
         raise NotImplementedError
@@ -199,6 +208,7 @@ class FiniteModel(BaseModel):
         self._inv = {u: perm_inv(u) for u in self.U}
         self._mul = {u: {} for u in self.U}
         self._split = {}
+        self._powers = {}                # e -> {w: phi^e(w)}, filled on use
 
     def _extend_phi(self):
         # extend gen |-> image multiplicatively over all of O, failing if
@@ -282,6 +292,15 @@ class FiniteModel(BaseModel):
             return self.phi_inv_table[v]
         except KeyError:
             raise NotInDomain(f"{v} is not in phi(O)") from None
+
+    def phi_power(self, w, e):
+        # memo of the loop, which stays the reference; a failure is not stored
+        try:
+            return self._powers[e][w]
+        except (KeyError, TypeError):
+            pass
+        out = self._powers.setdefault(e, {})[w] = BaseModel.phi_power(self, w, e)
+        return out
 
     def transversal_R(self):
         return self._R
@@ -394,6 +413,15 @@ class ShiftModel(BaseModel):
             raise NotInDomain(f"{v} is not divisible by {self.m}")
         return v // self.m
 
+    def phi_power(self, w, e):
+        if e >= 0:
+            return w * self.m**e
+        q, r = divmod(w, self.m**-e)
+        if r:
+            # the loop names the first quotient that m does not divide
+            return BaseModel.phi_power(self, w, e)
+        return q
+
     def transversal_R(self):
         return (0,)
 
@@ -496,6 +524,9 @@ class TrivialModel(BaseModel):
 
     def phi_inv(self, v):
         return ()
+
+    def phi_power(self, w, e):
+        return w
 
     def transversal_R(self):
         return ((),)

@@ -164,7 +164,7 @@ def test_cube_transitivity_spot_check():
                 for i, t in enumerate(cube.ctype):
                     if (mask >> i) & 1:
                         corner = engine.mul_token(corner, gen_token(t, 1))
-                translated = engine.mul(cube.gelem, corner)
+                translated = engine.mul(ball.cube_element(cube), corner)
                 assert ball.vertex_ids[engine.coset_key(translated)] == cube.corners[mask]
 
 
@@ -214,7 +214,7 @@ def test_apartment_assignment_and_cover():
             assert apartment_of_vertex(ball, v) in handles
         # every cube lies in the apartment named by its defining element
         for c in ball.cubes:
-            n = engine.n_part(c.gelem)
+            n = engine.n_part(ball.cube_element(c))
             assert engine.apartment_key(n) in handles
 
 
@@ -367,8 +367,9 @@ def test_apartment_trace_matches_plain_corner_walk():
 
 def _engine_walk_ball(model, graph, radius):
     """The ball as built before the coset table: a BFS that keeps no edges,
-    and every cube corner multiplied out through the engine and looked up by
-    its coset key."""
+    and every cube of every vertex x clique x transversal rep with its
+    corners multiplied out through the engine and looked up by their coset
+    keys.  Returns the ball and the defining element of each cube."""
     engine = engine_for(model, graph)
     ball = CubeBall(model, graph, radius, engine)
     root = engine.coset_rep(engine.identity())
@@ -385,9 +386,10 @@ def _engine_walk_ball(model, graph, radius):
                         if engine.coset_key(nb) not in ball.vertex_ids:
                             nxt.append(ball._add_vertex(nb, d + 1, engine.coset_key(nb)))
         frontier = nxt
+    elements = list(ball.vertex_reps)
     for vid in range(ball.n_vertices):
         ball.cube_ids[(vid,)] = len(ball.cubes)
-        ball.cubes.append(Cube(0, (), (vid,), ball.vertex_reps[vid]))
+        ball.cubes.append(Cube(0, (), (vid,), model.identity()))
     for clique in cliques(graph).nonempty():
         ctype = tuple(sorted(clique, key=graph.order.get))
         for vid in range(ball.n_vertices):
@@ -405,8 +407,9 @@ def _engine_walk_ball(model, graph, radius):
                     continue
                 assert len(set(corners)) == len(corners)
                 ball.cube_ids[corners] = len(ball.cubes)
-                ball.cubes.append(Cube(len(ctype), ctype, corners, g))
-    return ball
+                ball.cubes.append(Cube(len(ctype), ctype, corners, c))
+                elements.append(g)
+    return ball, elements
 
 
 def _probed_table_ball(model, graph, radius):
@@ -438,10 +441,20 @@ def _probed_table_ball(model, graph, radius):
     return ball
 
 
-@pytest.mark.parametrize("model, graph, radius", TABLE_BALLS, ids=TABLE_IDS)
+# TABLE_BALLS, 3-cubes over a shift model (the one face lift by phi^-2 of a
+# nontrivial omega), 2-cubes with c0 != c, and phi of order 4
+WALK_BALLS = TABLE_BALLS + [
+    (SM2, complete_graph("abc"), 3),
+    (ShiftModel(3), path_graph("pqr"), 3),
+    (F20, EDGE, 2),
+]
+WALK_IDS = TABLE_IDS + ["shift2-k3", "shift3-path3-r3", "f20-edge"]
+
+
+@pytest.mark.parametrize("model, graph, radius", WALK_BALLS, ids=WALK_IDS)
 def test_coset_table_matches_engine_corner_walk(model, graph, radius):
     ball = build_ball(model, graph, radius)
-    ref = _engine_walk_ball(model, graph, radius)
+    ref, elements = _engine_walk_ball(model, graph, radius)
     assert ball.to_json() == ref.to_json()
     # the table holds every edge: its targets in the ball are the neighbours
     # along the reference's 1-cubes
@@ -449,7 +462,8 @@ def test_coset_table_matches_engine_corner_walk(model, graph, radius):
     for v, row in enumerate(ball.table):
         assert {entry[0] for entry in row.values() if entry} == ref_neighbours[v]
     key = ball.engine.key
-    assert [key(c.gelem) for c in ball.cubes] == [key(c.gelem) for c in ref.cubes]
+    assert [c.rep for c in ball.cubes] == [c.rep for c in ref.cubes]
+    assert [key(ball.cube_element(c)) for c in ball.cubes] == [key(g) for g in elements]
     # every table entry r_v u t^sign = r_w x, and every walk step
     # r_w y t = r_w' y' from any remainder y, holds in the group
     engine = ball.engine
@@ -496,6 +510,36 @@ def test_deduced_table_matches_probed_table(model, graph, radius):
     # the parity fact that lets the boundary rows go unprobed
     for v, row in enumerate(ball.table):
         assert all(abs(ball.dist[entry[0]] - ball.dist[v]) == 1 for entry in row.values() if entry)
+
+
+@pytest.mark.parametrize(
+    "model, graph, radius",
+    [(ShiftModel(3), path_graph("pqr"), 3), (SM2, complete_graph("abc"), 3)],
+    ids=["shift3-path3", "shift2-k3"],
+)
+def test_cube_cap_boundary(model, graph, radius):
+    ball = build_ball(model, graph, radius)
+    cap = len(ball.cubes)
+    assert len(build_ball(model, graph, radius, cube_cap=cap).cubes) == cap
+    with pytest.raises(ResourceCap, match=f"^cube budget {cap - 1} exhausted$"):
+        build_ball(model, graph, radius, cube_cap=cap - 1)
+
+
+def test_cubes_grow_from_faces(monkeypatch):
+    # every table step of the attachment lifts a face that is in the ball;
+    # the vertex x clique x rep walk tried every rep from every vertex
+    steps = []
+
+    def counted(ball, w, y, t, step=_table_step):
+        steps.append(None)
+        return step(ball, w, y, t)
+
+    monkeypatch.setattr("topraag.complexes._table_step", counted)
+    model, graph = ShiftModel(3), path_graph("pqr")
+    ball = build_ball(model, graph, 4)
+    attempts = ball.n_vertices * sum(len(model.left_transversal(len(c))) for c in cliques(graph).nonempty())
+    assert (ball.n_vertices, attempts) == (4_705, 127_035)
+    assert len(steps) == 28_320 < attempts
 
 
 @pytest.mark.parametrize(

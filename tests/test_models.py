@@ -6,7 +6,9 @@ from fractions import Fraction
 import pytest
 
 from topraag.errors import ModelError, NotInDomain, NotShrinkingModel
+from test_engine_contract import F20
 from topraag.models import (
+    BaseModel,
     FiniteModel,
     ShiftModel,
     TrivialModel,
@@ -115,6 +117,48 @@ def test_phi_apply_unapply():
         sm.phi_inv(3)
     c3 = perm_from_cycles(3, [[0, 1, 2]])
     assert S3A3.phi(c3) == c3
+
+
+def _power_or_error(power, w, e):
+    try:
+        return power(w, e)
+    except NotInDomain as exc:
+        return NotInDomain, str(exc)
+
+
+# phi the identity, an inversion, of order 4 (F20), phi(O) != O (where
+# phi^2 leaves the domain), and the trivial model
+PHI_POWER_MODELS = {
+    "s3a3": S3A3,
+    "inversion": DECOMPOSE_MODELS["inversion"],
+    "f20": F20,
+    "general": DECOMPOSE_MODELS["general"],
+    "trivial": TrivialModel(),
+}
+
+
+@pytest.mark.parametrize("model", PHI_POWER_MODELS.values(), ids=PHI_POWER_MODELS.keys())
+def test_phi_power_matches_the_loop_on_O(model):
+    domain = sorted(model.O) if hasattr(model, "O") else [model.identity()]
+    for e in range(-6, 7):
+        for w in domain:
+            want = _power_or_error(lambda w, e: BaseModel.phi_power(model, w, e), w, e)
+            # twice, so a memoised value and a failure that was not stored are both read
+            for _ in range(2):
+                assert _power_or_error(model.phi_power, w, e) == want
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_shift_phi_power_matches_the_loop(m):
+    model = ShiftModel(m)
+    samples = list(range(-30, 31)) + [m**6, -(m**5), 5 * m**4, m**3 + 1, -7 * m**2]
+    refused = 0
+    for e in range(-6, 7):
+        for w in samples:
+            want = _power_or_error(lambda w, e: BaseModel.phi_power(model, w, e), w, e)
+            assert _power_or_error(model.phi_power, w, e) == want
+            refused += isinstance(want, tuple)
+    assert refused  # the non-divisible cases are in the sample
 
 
 def test_phi_homomorphism_and_injectivity():
