@@ -141,10 +141,9 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--version", action="version", version=f"topraag {__version__}")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, need_model=True):
+    def common(sp):
         sp.add_argument("--graph", help="graph JSON file")
-        if need_model:
-            sp.add_argument("--model", help="model JSON file")
+        sp.add_argument("--model", help="model JSON file")
         sp.add_argument("--radius", type=int, default=2)
         sp.add_argument("--out", help="write the report/export here")
         sp.add_argument("--seed", type=int, default=0)

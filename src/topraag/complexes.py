@@ -61,13 +61,14 @@ class CubeBall:
         self.apartment_trace = None      # (words -> ids, cubes), built on demand
 
     # -- construction helpers ----------------------------------------------
-    def _add_vertex(self, rep, d, key):
-        """New vertex rep U at distance d, named by key = engine.coset_key(rep)."""
+    def _add_vertex(self, rep, d, key, e):
+        """New vertex rep U at distance d and exponent e, named by key =
+        engine.coset_key(rep)."""
         vid = len(self.vertex_reps)
         self.vertex_ids[key] = vid
         self.vertex_reps.append(rep)
         self.dist.append(d)
-        self.exponent.append(self.engine.exponent(rep))
+        self.exponent.append(e)
         self.table.append({})
         return vid
 
@@ -90,7 +91,7 @@ class CubeBall:
 
     def interior_vertices(self):
         """Vertices whose whole star (all incident cubes) is inside the ball."""
-        margin = max(1, max((len(c) for c in cliques(self.graph).cliques), default=1))
+        margin = max(1, cliques(self.graph).max_size())
         return [v for v in range(self.n_vertices) if self.dist[v] + margin <= self.radius]
 
     def cells_for_homology(self):
@@ -148,7 +149,8 @@ def build_ball(
     A probe r_v u t^sign moves the walk at r_v by two tokens, and
     engine.coset_name reads its coset key and y with r_v u t^sign = b y, b
     fixed by the key.  With r_w = b p_w the table entry is x = p_w^-1 y.
-    Only a new vertex pays for its canonical representative.
+    Only a new vertex pays for its canonical representative, and its
+    exponent is its parent's plus the sign, since e(U) = 0.
 
     Each probe also fills the reverse entry (the deduction step of
     Todd-Coxeter coset enumeration): with x t^-sign = u' t^-sign c from
@@ -162,13 +164,13 @@ def build_ball(
     ball = CubeBall(model, graph, radius, engine)
     walks, inv_place = [], []            # per vertex w: the walk at r_w, p_w^-1
 
-    def add(walk, key, y, d):
+    def add(walk, key, y, d, e):
         rep, x, walk = engine.walk_split(walk, key, y)       # b y = rep x
         walks.append(walk)
         inv_place.append(model.mul(x, model.inv(y)))
-        return ball._add_vertex(rep, d, key)
+        return ball._add_vertex(rep, d, key, e)
 
-    add(engine.identity(), *engine.coset_name(engine.identity()), 0)
+    add(engine.identity(), *engine.coset_name(engine.identity()), 0, 0)
     # radius 1 alone holds 1 + degree vertices: fail before listing the probes
     if radius >= 1 and 1 + cayley_abels_degree(model, graph) > vertex_cap:
         raise ResourceCap(f"vertex budget {vertex_cap} exhausted at radius 1")
@@ -191,7 +193,7 @@ def build_ball(
             if wid is None:
                 if ball.n_vertices >= vertex_cap:
                     raise ResourceCap(f"vertex budget {vertex_cap} exhausted at radius {d + 1}")
-                wid = add(walk, key, y, d + 1)
+                wid = add(walk, key, y, d + 1, ball.exponent[vid] + sign)
             x = model.mul(inv_place[wid], y)
             row[u, t, sign] = (wid, x)
             back, c = model.left_split(x, -sign)
@@ -435,22 +437,16 @@ def base_apartment_trace(ball: CubeBall):
     engine = ball.engine
     graph = ball.graph
     table = _artin_ball(graph, ball.radius)
-    verts = {}
-    for word in table:
-        elem = engine.from_tokens(tuple(gen_token(g, e) for g, e in word))
-        vid = ball.vertex_id_of(elem)
-        if vid is not None:
-            verts[word] = vid
-    ctypes = [tuple(sorted(c, key=graph.order.get)) for c in cliques(graph).nonempty()]
+    # a word of length <= radius spells a path of that length from U
+    verts = {
+        word: ball.vertex_id_of(engine.from_tokens(tuple(gen_token(g, e) for g, e in word)))
+        for word in table
+    }
     cubes = []
-    for word in verts:
-        for ctype in ctypes:
-            corner_ids = _window_corner_ids(table, verts, word, ctype)
-            if corner_ids is None:
-                continue
-            cid = ball.cube_ids.get(corner_ids)
-            if cid is not None:
-                cubes.append((word, ctype, cid))
+    for word, ctype, corner_ids in _window_cubes(graph, table, verts):
+        cid = ball.cube_ids.get(corner_ids)
+        if cid is not None:
+            cubes.append((word, ctype, cid))
     ball.apartment_trace = (verts, cubes)
     return ball.apartment_trace
 
@@ -499,36 +495,40 @@ def valley_cells(
         if e <= latitude and lo <= e <= hi:
             exps[b] = e
     verts = {b: i for i, b in enumerate(sorted(exps, key=lambda w: (len(w), w)))}
-    ctypes = [tuple(sorted(c, key=graph.order.get)) for c in cliques(graph).nonempty()]
     cubes = []
-    for b in verts:
-        e = exps[b]
-        for ctype in ctypes:
-            if e + len(ctype) > latitude:
-                continue
-            ids = _window_corner_ids(table, verts, b, ctype)
-            if ids is not None:
-                if len(verts) + len(cubes) >= cube_cap:
-                    raise ResourceCap(f"valley window cube budget {cube_cap} exhausted")
-                cubes.append((len(ctype), ctype, ids))
+    for _, ctype, ids in _window_cubes(graph, table, verts):
+        if len(verts) + len(cubes) >= cube_cap:
+            raise ResourceCap(f"valley window cube budget {cube_cap} exhausted")
+        cubes.append((len(ctype), ctype, ids))
     cubes.extend((0, (), (vid,)) for vid in verts.values())
     return verts, cubes
 
 
-def _window_corner_ids(table, verts, b, ctype):
-    """Window ids of the corners b t_S of bQ_T by subset bitmask, read from
-    the letter table; None when a corner lies outside the window.  The
-    corner of a mask is the corner of the mask without its highest bit times
-    that letter, and every such corner is itself a corner of the cube."""
-    corners = [b]
-    for t in ctype:
-        letter = (t, 1)
-        for k in range(len(corners)):
-            w = table[corners[k]].get(letter)
-            if w not in verts:
-                return None
-            corners.append(w)
-    return tuple(verts[w] for w in corners)
+def _window_cubes(graph: Graph, table, verts):
+    """(b, ctype, corner ids) for every positive-dimensional cube bQ_T all
+    of whose corners are keys of verts (word -> id), by b in verts order,
+    then T in cliques(graph).nonempty() order.  The corners of bQ_T by
+    subset bitmask are those of its face bQ_{T - t}, t last in T, followed
+    by each of them times t in the letter table, so a cube grows from the
+    face found just before it at b and is dropped at its first corner
+    outside verts."""
+    ctypes = [tuple(sorted(c, key=graph.order.get)) for c in cliques(graph).nonempty()]
+    for b in verts:
+        found = {(): [b]}                # ctype -> corner words of bQ_ctype
+        for ctype in ctypes:
+            face = found.get(ctype[:-1])
+            if face is None:
+                continue
+            letter = (ctype[-1], 1)
+            corners = list(face)
+            for w in face:
+                w = table[w].get(letter)
+                if w not in verts:
+                    break
+                corners.append(w)
+            else:
+                found[ctype] = corners
+                yield b, ctype, tuple([verts[w] for w in corners])
 
 
 def _artin_ball(graph: Graph, radius: int, vertex_cap: int = DEFAULT_VERTEX_CAP):

@@ -272,12 +272,7 @@ class AutomorphicEngine(Engine):
         if not model.is_automorphic:
             raise RegimeMismatch("automorphic engine needs phi(O) = O")
         super().__init__(model, graph)
-        if hasattr(model, "U"):
-            self._U = sorted(model.U)
-        else:
-            # U = O * R, and the trivial model has a one-element U
-            reps = model.transversal_R()
-            self._U = sorted({model.mul(model.identity(), r) for r in reps})
+        self._U = sorted(model.U)
         self._O = sorted(u for u in self._U if model.in_O(u))
 
     def identity(self):
@@ -364,10 +359,8 @@ def verify_relations(model: BaseModel, graph: Graph, samples=None) -> dict:
     if samples is None:
         if hasattr(model, "U"):
             samples = sorted(model.U)
-        elif model.kind == "shift":
-            samples = [0, 1, -1, 2, 5, model.m, -3 * model.m]
         else:
-            samples = [model.identity()]
+            samples = [0, 1, -1, 2, 5, model.m, -3 * model.m]
     o_samples = [u for u in samples if model.in_O(u)]
 
     elem = engine.from_tokens

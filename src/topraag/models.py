@@ -1,17 +1,17 @@
 """Computable models of a monomorphism phi: O -> U between a group U and a
 subgroup O <= U.
 
-Three families are supported:
+Two families are supported:
 
 * ``FiniteModel``    -- U a permutation group of small degree, O a subgroup,
                         phi given by images of O's generators; mul, inv and
                         left_split are lookups in per-model tables that fill
                         on first use, keyed by the permutation tuples, with
                         the generic ``BaseModel.left_split`` scan as their
-                        reference;
+                        reference; ``TrivialModel`` (U = {1}) is the
+                        finite model of degree 0;
 * ``ShiftModel``     -- U = Z under addition, phi = multiplication by m >= 2,
-                        so O = U and phi(U) = mZ is proper;
-* ``TrivialModel``   -- U = {1}.
+                        so O = U and phi(U) = mZ is proper.
 
 All arithmetic is exact.  The regime phi(O) strictly inside O with O != U is
 reachable only through ShiftModel: a finite model always has |phi(O)| = |O|.
@@ -496,60 +496,15 @@ class ShiftModel(BaseModel):
         return {"kind": "shift", "m": self.m}
 
 
-class TrivialModel(BaseModel):
+class TrivialModel(FiniteModel):
+    """U = {1}: the finite model of degree 0, whose group is the plain RAAG
+    and whose complex is its standard (Salvetti) cube complex.  Only the
+    spelling of its one element and its JSON differ from FiniteModel."""
+
     kind = "trivial"
 
-    def identity(self):
-        return ()
-
-    def mul(self, a, b):
-        for u in (a, b):
-            if u != ():
-                raise NotInDomain(f"{u!r} is not in U = {{1}}")
-        return ()
-
-    def inv(self, a):
-        if a != ():
-            raise NotInDomain(f"{a!r} is not in U = {{1}}")
-        return ()
-
-    def in_O(self, u):
-        return True
-
-    def in_phiO(self, u):
-        return True
-
-    def phi(self, w):
-        return ()
-
-    def phi_inv(self, v):
-        return ()
-
-    def phi_power(self, w, e):
-        return w
-
-    def transversal_R(self):
-        return ((),)
-
-    def decompose(self, u):
-        return (), ()
-
-    def left_transversal(self, k: int):
-        return ((),)
-
-    def index_O(self):
-        return 1
-
-    def index_phiO(self):
-        return 1
-
-    @property
-    def is_automorphic(self):
-        return True
-
-    @property
-    def is_shrinking(self):
-        return False
+    def __init__(self):
+        super().__init__(0, [], [], [])
 
     def format_u(self, u):
         return "1"

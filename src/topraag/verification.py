@@ -52,7 +52,7 @@ def random_word(graph: Graph, rng: random.Random, max_len=4, nonempty=False) -> 
 
 def random_normal_sequence(model: BaseModel, graph: Graph, rng: random.Random, max_n=3) -> NormalSequence:
     ident = model.identity()
-    u_all = sorted(model.U) if hasattr(model, "U") else [ident]
+    u_all = sorted(model.U)
     reps = list(model.transversal_R())
     nontrivial_reps = [r for r in reps if r != ident]
     n = rng.randint(0, max_n if nontrivial_reps else 0)
@@ -84,7 +84,7 @@ def suite_normal_form(model, graph, rng, samples=300) -> dict:
     if engine.regime != "automorphic":
         raise RegimeMismatch("the normal-form suite runs on automorphic models")
     checks = []
-    o_elems = sorted(w for w in model.U if model.in_O(w)) if hasattr(model, "U") else [model.identity()]
+    o_elems = sorted(w for w in model.U if model.in_O(w))
     bad_inv = bad_phi = bad_comm = bad_round = 0
     edges = sorted(tuple(sorted(e)) for e in graph.edges)
     for _ in range(samples):
@@ -209,7 +209,7 @@ def suite_links(ball) -> dict:
         rep["face_condition"] == (not pockets),
         {"pockets": len(pockets), "face_condition": rep["face_condition"]},
     )
-    if ball.engine.regime in ("automorphic", "tree") or ball.model.kind == "trivial":
+    if ball.engine.regime in ("automorphic", "tree"):
         _check(checks, "interior links are flag", rep["all_links_flag"])
         _check(checks, "common-face condition holds", rep["face_condition"])
     return _finish("links", checks, {"interior": len(rep["links"])})

@@ -71,10 +71,7 @@ def test_retract_spells_the_retracted_element():
     ]
     rng = random.Random(6)
     for model, graph in cases:
-        if hasattr(model, "U"):
-            us = sorted(model.U)
-        else:
-            us = list(range(-6, 7)) if model.kind == "shift" else [model.identity()]
+        us = sorted(model.U) if hasattr(model, "U") else list(range(-6, 7))
         for _ in range(400):
             toks = []
             for _ in range(rng.randint(0, 8)):

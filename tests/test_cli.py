@@ -232,6 +232,15 @@ def test_verify_normal_form_on_empty_graph_exit_2(tmp_path, capsys, model):
     assert err == "config error: the normal-form suite needs a graph with at least one vertex\n"
 
 
+def test_verify_stabilisers_on_trivial_model(capsys):
+    # {1} is finite, so the brute-force stabilisers run on the trivial model
+    code = run_cli(["verify", "--suite", "stabilisers", "--graph", CONFIGS / "edge.json",
+                    "--model", CONFIGS / "trivial.json", "--radius", "2"])
+    assert code == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["pass"] and report["meta"] == {"cubes": 33}
+
+
 def test_verify_honours_vertex_cap(capsys):
     code = run_cli(
         ["verify", "--suite", "stabilisers", "--graph", CONFIGS / "edge.json",

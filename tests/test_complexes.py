@@ -18,6 +18,7 @@ from topraag.graphs import (
     cycle_graph,
     edge_graph,
     edgeless_graph,
+    graph_join,
     is_chordal,
     single_vertex,
     validate_graph,
@@ -189,6 +190,15 @@ def test_stabilisers_automorphic():
             assert len(brute) == 3  # A3 in either positive dimension
 
 
+def test_stabilisers_trivial_model():
+    # U = {1} is the finite model of degree 0: every stabiliser is {1}
+    ball = build_ball(TrivialModel(), EDGE, 2)
+    identity = ball.engine.key(ball.engine.identity())
+    for cube in ball.cubes:
+        brute = stabiliser_bruteforce(ball, cube)
+        assert brute == stabiliser_formula_set(ball, cube) == {identity}
+
+
 def test_stabiliser_base_vertex_is_U():
     ball = build_ball(S3A3, EDGE, 1)
     base_cube = ball.cubes[0]
@@ -349,6 +359,9 @@ def test_apartment_trace_matches_plain_corner_walk():
         (S3A3, EDGE, 2),
         (SM2, EDGE, 3),
         (TrivialModel(), cycle_graph("abcd"), 2),
+        # 3-cubes in the trace, grown from their squares
+        (SM2, complete_graph("abc"), 3),
+        (TrivialModel(), complete_graph("abc"), 3),
     ]:
         ball = build_ball(model, graph, radius)
         engine = ball.engine
@@ -373,7 +386,7 @@ def _engine_walk_ball(model, graph, radius):
     engine = engine_for(model, graph)
     ball = CubeBall(model, graph, radius, engine)
     root = engine.coset_rep(engine.identity())
-    ball._add_vertex(root, 0, engine.coset_key(root))
+    ball._add_vertex(root, 0, engine.coset_key(root), engine.exponent(root))
     frontier = [0]
     for d in range(radius):
         nxt = []
@@ -383,8 +396,9 @@ def _engine_walk_ball(model, graph, radius):
                     for u in model.left_transversal(1 if sign == 1 else 0):
                         nb = engine.mul_token(ball.vertex_reps[vid], u_token(u))
                         nb = engine.coset_rep(engine.mul_token(nb, gen_token(t, sign)))
-                        if engine.coset_key(nb) not in ball.vertex_ids:
-                            nxt.append(ball._add_vertex(nb, d + 1, engine.coset_key(nb)))
+                        key = engine.coset_key(nb)
+                        if key not in ball.vertex_ids:
+                            nxt.append(ball._add_vertex(nb, d + 1, key, engine.exponent(nb)))
         frontier = nxt
     elements = list(ball.vertex_reps)
     for vid in range(ball.n_vertices):
@@ -424,7 +438,7 @@ def _probed_table_ball(model, graph, radius):
         rep, x, walk = engine.walk_split(walk, key, y)
         walks.append(walk)
         inv_place.append(model.mul(x, model.inv(y)))
-        return ball._add_vertex(rep, d, key)
+        return ball._add_vertex(rep, d, key, engine.exponent(rep))
 
     add(engine.identity(), *engine.coset_name(engine.identity()), 0)
     letters = [(u, t, sign) for t in graph.vertices for sign in (1, -1)
@@ -477,10 +491,7 @@ def test_coset_table_matches_engine_corner_walk(model, graph, radius):
 
     for v, row in enumerate(ball.table):
         assert all(holds(v, *key, entry) for key, entry in row.items())
-    if hasattr(model, "U"):
-        ys = sorted(model.U)
-    else:
-        ys = list(range(-6, 7)) if model.kind == "shift" else [model.identity()]
+    ys = sorted(model.U) if hasattr(model, "U") else list(range(-6, 7))
     for v in range(ball.n_vertices):
         for y in ys:
             for t in graph.vertices:
@@ -587,7 +598,7 @@ def test_vertex_id_of_names_automorphic_cosets(model, graph, radius):
         return by_rep.get(engine.key(engine.coset_rep(g)))
 
     assert len({engine.coset_key(rep) for rep in ball.vertex_reps}) == ball.n_vertices
-    us = sorted(model.U) if hasattr(model, "U") else [model.identity()]
+    us = sorted(model.U)
     outside = 0
     for v, rep in enumerate(ball.vertex_reps):
         for u in us:
@@ -666,6 +677,10 @@ def _plain_valley(graph, latitude, e_range, radius):
     return verts, cubes
 
 
+# the boundary of the 3-dimensional cross-polytope: a join of three S^0
+OCTAHEDRON = graph_join(edgeless_graph("ab"), graph_join(edgeless_graph("cd"), edgeless_graph("ef")))
+
+
 def test_valley_cells_match_plain_corner_walk():
     windows = [
         (EDGE, 0, (-2, 0), 4),
@@ -674,6 +689,10 @@ def test_valley_cells_match_plain_corner_walk():
         (cycle_graph("abcd"), 0, (-5, 0), 3),
         (cycle_graph("abcd"), 1, (-2, 1), 3),
         (cycle_graph("abcd"), 0, (-1, 0), 2),
+        # 3- and 4-cubes, each grown from a face found just before it
+        (complete_graph("abc"), 1, (-3, 1), 4),
+        (complete_graph("abcd"), 2, (-3, 2), 4),
+        (OCTAHEDRON, 0, (-3, 0), 3),
     ]
     for graph, latitude, e_range, radius in windows:
         verts, cubes = valley_cells(graph, latitude, e_range, radius)

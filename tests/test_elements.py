@@ -144,7 +144,7 @@ def test_engine_arithmetic_matches_left_fold(model, g):
     eng = engine_for(model, g)
     rng = random.Random(f"left-fold-{model.kind}-{len(g.vertices)}")
     ident = model.identity()
-    us = sorted(model.U) if hasattr(model, "U") else [ident]
+    us = sorted(model.U)
 
     def draw():
         # a random Artin word on the left gives the trivial model a tail too

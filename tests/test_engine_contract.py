@@ -77,9 +77,7 @@ DERIVED = (
 def u_samples(model):
     if hasattr(model, "U"):
         return sorted(model.U)
-    if model.kind == "shift":
-        return list(range(-3 * model.m, 3 * model.m + 1))
-    return [model.identity()]
+    return list(range(-3 * model.m, 3 * model.m + 1))
 
 
 def outside_U(model):

@@ -139,7 +139,7 @@ PHI_POWER_MODELS = {
 
 @pytest.mark.parametrize("model", PHI_POWER_MODELS.values(), ids=PHI_POWER_MODELS.keys())
 def test_phi_power_matches_the_loop_on_O(model):
-    domain = sorted(model.O) if hasattr(model, "O") else [model.identity()]
+    domain = sorted(model.O)
     for e in range(-6, 7):
         for w in domain:
             want = _power_or_error(lambda w, e: BaseModel.phi_power(model, w, e), w, e)
@@ -196,6 +196,13 @@ def test_trivial_model():
     assert tm.decompose(()) == ((), ())
     assert tm.index_O() == 1 and tm.index_phiO() == 1
     assert tm.is_automorphic
+    # the finite model of degree 0, spelled "1" and written as its kind alone
+    assert isinstance(tm, FiniteModel) and tm.degree == 0
+    assert tm.U == tm.O == tm.phiO == {()}
+    assert tm.format_u(()) == "1" and tm.parse_u("1") == ()
+    assert tm.to_json() == {"kind": "trivial"}
+    with pytest.raises(ModelError, match="trivial model only has the element '1', got 'perm\\[\\]'"):
+        tm.parse_u("perm[]")
 
 
 def test_spell():
