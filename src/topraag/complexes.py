@@ -325,9 +325,10 @@ def stabiliser_formula_set(ball: CubeBall, cube: Cube):
     g = ball.cube_element(cube)
     # a vertex is stabilised by all of gUg^-1; positive cubes by g phi^k(O) g^-1
     members = model.U if cube.dim == 0 else model.phi_k_O(cube.dim)
+    g_inv = engine.inv(g)
     out = set()
     for w in members:
-        elem = engine.mul(engine.mul_token(g, u_token(w)), engine.inv(g))
+        elem = engine.mul(engine.mul_token(g, u_token(w)), g_inv)
         out.add(engine.key(elem))
     return out
 
@@ -341,9 +342,10 @@ def stabiliser_bruteforce(ball: CubeBall, cube: Cube):
         raise InfiniteStabiliser("brute-force stabilisers need a finite model")
     engine = ball.engine
     g = ball.cube_element(cube)
+    g_inv = engine.inv(g)
     out = set()
     for u in sorted(model.U):
-        n = engine.mul(engine.mul_token(g, u_token(u)), engine.inv(g))
+        n = engine.mul(engine.mul_token(g, u_token(u)), g_inv)
         if all(_fixes(ball, n, vid) for vid in cube.corners):
             out.add(engine.key(n))
     return out
@@ -407,14 +409,10 @@ def _classify_automorphic(engine: Engine, n) -> IntersectionClass:
             return IntersectionClass("valleys", latitude=None)
         return IntersectionClass("vertices", vertex=())
     if n.length == 2:
-        (a1, u1), (a2, u2) = n.tail
+        # a1 a2 = a_part(n) = 1, so a2 is the canonical inverse of a1
+        (a1, u1), (_, u2) = n.tail
         ident = model.identity()
-        if (
-            model.in_O(n.head)
-            and u2 == ident
-            and a2 == W.invert(engine.graph, a1)
-            and u1 != ident
-        ):
+        if model.in_O(n.head) and u2 == ident and u1 != ident:
             return IntersectionClass("vertices", vertex=a1)
     return IntersectionClass("empty")
 

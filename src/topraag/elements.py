@@ -7,9 +7,11 @@ Regimes and engines
   (u0, a1, u1, ..., an, un) with the a_i nontrivial canonical Artin words and
   u1..u_{n-1} nontrivial right-coset representatives; left multiplication by
   a generator letter rewrites the sequence through a three-case rule and
-  to_normal_sequence folds a word letter by letter (the reference).  The
-  engine multiplies on the right, pushing a U-remainder left through the
-  pairs by a w = phi^{e(a)}(w) a for w in O, and acts by whole blocks.
+  to_normal_sequence folds a word letter by letter (the reference, which
+  reads no memo).  The engine multiplies on the right, pushing a
+  U-remainder left through the pairs by a w = phi^{e(a)}(w) a for w in O,
+  and acts by whole blocks, reading each block's exponent and inverse, and
+  each merge of two blocks, from per-engine memos.
 * O = U with phi shrinking and the graph connected: see ``semidirect``.
 * edgeless graphs over any model: see ``britton``.
 
@@ -76,26 +78,30 @@ def base_sequence(model: BaseModel, u=None) -> NormalSequence:
     return NormalSequence(model.identity() if u is None else u, ())
 
 
-def _left_block(model: BaseModel, g: Graph, a: W.Word, e: int, seq: NormalSequence) -> NormalSequence:
+def _left_block(
+    model: BaseModel, g: Graph, a: W.Word, e: int, seq: NormalSequence, multiply
+) -> NormalSequence:
     """a * seq for a nonempty canonical Artin word a of exponent e: with
     head = omega u_hat, a omega = phi^e(omega) a, and a merges into the
-    first block only when u_hat is trivial."""
+    first block only when u_hat is trivial, by multiply (``W.multiply`` or
+    a lookup with its signature and result)."""
     omega, u_hat = model.decompose(seq.head)
     head = model.phi_power(omega, e)
     if not seq.tail or u_hat != model.identity():
         return NormalSequence(head, ((a, u_hat),) + seq.tail)
     (a1, u1), rest = seq.tail[0], seq.tail[1:]
-    merged = W.multiply(g, a, a1)
+    merged = multiply(g, a, a1)
     if not merged:
         return NormalSequence(model.mul(head, u1), rest)
     return NormalSequence(head, ((merged, u1),) + rest)
 
 
-def _right_u(model: BaseModel, seq: NormalSequence, u) -> NormalSequence:
+def _right_u(model: BaseModel, seq: NormalSequence, u, exponent) -> NormalSequence:
     """seq * u for u in U.  The remainder c moves left through each pair:
-    u_i c = omega r, and a_i omega = phi^{e(a_i)}(omega) a_i.  A non-final
-    u_i is a nontrivial representative, so u_i c is not in O and blocks
-    never merge."""
+    u_i c = omega r, and a_i omega = phi^{e(a_i)}(omega) a_i, with e(a_i)
+    read by exponent (the engine's block record).  A non-final u_i is a
+    nontrivial representative, so u_i c is not in O and blocks never
+    merge."""
     ident = model.identity()
     tail = list(seq.tail)
     c, i = u, len(tail)
@@ -104,7 +110,7 @@ def _right_u(model: BaseModel, seq: NormalSequence, u) -> NormalSequence:
         a, r = tail[i]
         omega, r = model.decompose(model.mul(r, c))
         tail[i] = (a, r)
-        c = model.phi_power(omega, W.exponent(a))
+        c = model.phi_power(omega, exponent(a))
     return NormalSequence(model.mul(seq.head, c), tuple(tail))
 
 
@@ -129,7 +135,7 @@ def act_letter(model: BaseModel, g: Graph, token: Token, seq: NormalSequence) ->
     _, gen, sign = token
     if gen not in g._adj or (sign != 1 and sign != -1):
         W.check_letters(g, ((gen, sign),))
-    return _left_block(model, g, W.single(gen, sign), sign, seq)
+    return _left_block(model, g, W.single(gen, sign), sign, seq, W.multiply)
 
 
 def act_word(model: BaseModel, g: Graph, tokens, seq: NormalSequence) -> NormalSequence:
@@ -274,13 +280,36 @@ class AutomorphicEngine(Engine):
         super().__init__(model, graph)
         self._U = sorted(model.U)
         self._O = sorted(u for u in self._U if model.in_O(u))
+        # per-engine memos, filled on a miss by the word layer: a block's
+        # record block -> (exponent, canonical inverse), and the merge
+        # (a, a1) -> canonical a a1 of two blocks
+        self._blocks = {}
+        self._merges = {}
+
+    def _block(self, a):
+        rec = self._blocks.get(a)
+        if rec is None:
+            e, inverse = W.exponent(a), W.invert(self.graph, a)
+            rec = self._blocks[a] = (e, inverse)
+            self._blocks.setdefault(inverse, (-e, a))
+        return rec
+
+    def _exponent(self, a):
+        return self._block(a)[0]
+
+    def _multiply(self, g, a, a1):
+        # W.multiply's signature; g is always the engine's graph
+        merged = self._merges.get((a, a1))
+        if merged is None:
+            merged = self._merges[a, a1] = W.multiply(g, a, a1)
+        return merged
 
     def identity(self):
         return base_sequence(self.model)
 
     def mul_token(self, a, token):
         if token[0] == "u":
-            return _right_u(self.model, a, token[1])
+            return _right_u(self.model, a, token[1], self._exponent)
         return _right_letter(self.model, self.graph, a, token[1], token[2])
 
     def tokens(self, a):
@@ -294,14 +323,14 @@ class AutomorphicEngine(Engine):
 
     def coset_split(self, a):
         # the least key over aU; a = (a u) * u^-1
-        cands = ((_right_u(self.model, a, u), u) for u in self._U)
+        cands = ((_right_u(self.model, a, u, self._exponent), u) for u in self._U)
         rep, u = min(cands, key=lambda c: self.key(c[0]))
         return rep, self.model.inv(u)
 
     def apartment_key(self, n):
         # apartments n*Sigma0 = n'*Sigma0 iff n^-1 n' lies in the pointwise
         # stabiliser of the base apartment, which is O here
-        return min(self.key(_right_u(self.model, n, w)) for w in self._O)
+        return min(self.key(_right_u(self.model, n, w, self._exponent)) for w in self._O)
 
     def format(self, a):
         m = self.model
@@ -312,12 +341,13 @@ class AutomorphicEngine(Engine):
         return " ".join(parts)
 
     # Overrides: a's blocks act on the left of b whole, with one decompose,
-    # phi power and block multiply each.
+    # phi power and merge lookup each; a block's exponent and inverse are
+    # read from its record.
     def mul(self, a, b):
         m, g = self.model, self.graph
         for block, u in reversed(a.tail):
             b = NormalSequence(m.mul(u, b.head), b.tail)
-            b = _left_block(m, g, block, W.exponent(block), b)
+            b = _left_block(m, g, block, self._block(block)[0], b, self._multiply)
         return NormalSequence(m.mul(a.head, b.head), b.tail)
 
     def inv(self, a):
@@ -325,8 +355,16 @@ class AutomorphicEngine(Engine):
         m, g = self.model, self.graph
         out = base_sequence(m, m.inv(a.head))
         for block, u in a.tail:
-            out = _left_block(m, g, W.invert(g, block), -W.exponent(block), out)
+            e, inverse = self._block(block)
+            out = _left_block(m, g, inverse, -e, out, self._multiply)
             out = NormalSequence(m.mul(m.inv(u), out.head), out.tail)
+        return out
+
+    def a_part(self, a):
+        # the blocks' product, merged pairwise through the memo
+        out = ()
+        for block, _ in a.tail:
+            out = self._multiply(self.graph, out, block) if out else block
         return out
 
     # A walk at g is the normal sequence of g^-1, where g * token is one

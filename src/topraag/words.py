@@ -87,7 +87,8 @@ def multiply_letter(g: Graph, w: Word, x: Letter) -> Word:
     generator comes later in the vertex order, which gives the least such
     word (Hermiller-Meier ShortLex forms of graph products).  The letters
     passed commute with x, so none has x's generator and the sign never
-    decides.  The letter is stored as the tuple (gen, e), so that a later
+    decides.  A tuple x is stored as it is, so words share letter objects;
+    any other spelling is stored as the tuple (gen, e), so that a later
     x^-1 finds it even when x came as a list.  A prepended letter can
     reorder the letters after it, so left multiples keep ``multiply``.
     """
@@ -107,7 +108,7 @@ def multiply_letter(g: Graph, w: Word, x: Letter) -> Word:
     i += 1
     while i < len(w) and order[w[i][0]] < rank:
         i += 1
-    return w[:i] + ((gen, e),) + w[i:]
+    return w[:i] + (x if type(x) is tuple else (gen, e),) + w[i:]
 
 
 def invert(g: Graph, w: Word) -> Word:

@@ -15,7 +15,17 @@ from fractions import Fraction
 import pytest
 
 from topraag import words as W
-from topraag.elements import Engine, act_letter, base_sequence, engine_for, gen_token, u_token
+from topraag.complexes import build_ball, nerve_graph
+from topraag.elements import (
+    Engine,
+    act_letter,
+    base_sequence,
+    engine_for,
+    gen_token,
+    invert_tokens,
+    to_normal_sequence,
+    u_token,
+)
 from topraag.errors import ModelError, NotInDomain, UnknownGenerator
 from topraag.graphs import cycle_graph, edge_graph, edgeless_graph, path_graph
 from topraag.models import (
@@ -252,10 +262,66 @@ def test_parse_u_rejects_a_permutation_outside_U():
         F20.parse_u("perm[1,0,2,3,4]")
 
 
+AUTOMORPHIC = [(m, g) for regime, m, g in CASES if regime == "automorphic"]
+AUTOMORPHIC_IDS = [i for i, (regime, _, _) in zip(IDS, CASES) if regime == "automorphic"]
+
+
+@pytest.mark.parametrize("model, graph", AUTOMORPHIC, ids=AUTOMORPHIC_IDS)
+def test_memoised_block_arithmetic_matches_the_reference_fold(model, graph):
+    # one engine warmed by a ball and its nerve, so mul, inv and a_part read
+    # filled block records and merges; the reference left fold reads none
+    ball = build_ball(model, graph, 2)
+    nerve_graph(ball)
+    eng = ball.engine
+    assert eng._blocks and eng._merges
+    elems = list(ball.vertex_reps) + [ball.cube_element(c) for c in ball.cubes]
+    elems += [eng.n_part(a) for a in elems[:20]]
+    elems += [eng.inv(a) for a in elems]
+    rng = random.Random(f"memo-{model.kind}-{len(graph.vertices)}")
+    us = u_samples(model)
+    for _ in range(300):
+        a, b, u = rng.choice(elems), rng.choice(elems), u_token(rng.choice(us))
+        ta, tb = eng.tokens(a), eng.tokens(b)
+        assert eng.mul(a, b) == to_normal_sequence(model, graph, ta + tb)
+        assert eng.mul_token(a, u) == to_normal_sequence(model, graph, ta + (u,))
+        assert eng.inv(a) == to_normal_sequence(model, graph, invert_tokens(model, ta))
+        letters = tuple(t for t in ta if t[0] == "gen")
+        reference = to_normal_sequence(model, graph, letters)
+        assert eng.a_part(a) == (reference.tail[0][0] if reference.tail else ())
+    for block, record in eng._blocks.items():
+        assert record == (W.exponent(block), W.invert(graph, block))
+    for (a, a1), merged in eng._merges.items():
+        assert merged == W.multiply(graph, a, a1)
+
+
+def test_nerve_inverts_each_block_once(monkeypatch):
+    # the block records and merges of one engine serve a whole ball and its
+    # nerve: the word layer inverts each distinct block at most once, and
+    # the nerve merges each distinct pair of blocks at most once
+    invert, multiply = W.invert, W.multiply
+    inverted, merged = [], []
+
+    def counted_invert(g, w):
+        inverted.append(w)
+        return invert(g, w)
+
+    def counted_multiply(g, w1, w2):
+        merged.append((w1, w2))
+        return multiply(g, w1, w2)
+
+    monkeypatch.setattr(W, "invert", counted_invert)
+    ball = build_ball(S3A3, edge_graph(), 3)
+    monkeypatch.setattr(W, "multiply", counted_multiply)
+    nerve = nerve_graph(ball)
+    assert nerve.edges
+    assert 0 < len(inverted) == len(set(inverted))
+    assert 0 < len(merged) == len(set(merged))
+
+
 def test_engines_keep_only_cheaper_overrides():
     kept = {eng.regime: overrides(eng) for eng in (engine_for(m, g) for _, m, g in CASES)}
     assert kept == {
-        "automorphic": ["mul", "inv", "coset_key", "walk_token", "coset_name", "walk_split"],
+        "automorphic": ["mul", "inv", "a_part", "coset_key", "walk_token", "coset_name", "walk_split"],
         "semidirect": ["mul", "inv", "exponent", "a_part", "n_part"],
         "tree": [],
     }

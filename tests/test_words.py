@@ -169,6 +169,19 @@ def test_list_letters_spell_the_same_words():
         assert W.normal_form(g, [list(x) for x in w]) == W.normal_form(g, w), (g, w)
 
 
+def test_tuple_letters_are_shared():
+    # an inserted tuple letter is the caller's object; a list letter is
+    # stored as a tuple and still cancels
+    x = ("t", 1)
+    w = W.multiply_letter(EDGE, W.parse_word("s"), x)
+    assert w == (("s", 1), ("t", 1)) and w[1] is x
+    y = ["s", -1]
+    v = W.multiply_letter(EDGE, (), y)
+    assert v == (("s", -1),) and type(v[0]) is tuple
+    assert W.multiply_letter(EDGE, v, ["s", 1]) == ()
+    assert W.multiply_letter(EDGE, w, ["t", -1]) == (("s", 1),)
+
+
 def test_equality_iff_same_normal_form():
     # two spellings of the same element agree; distinct elements do not
     g = C4
