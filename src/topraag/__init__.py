@@ -32,7 +32,7 @@ from .elements import (
     engine_for,
     verify_relations,
 )
-from .semidirect import SemidirectElement, epsilon_latitude, semi_of_word
+from .semidirect import SemidirectElement
 from .britton import BrittonWord, hnn_retract
 from .complexes import (
     CubeBall,

@@ -75,9 +75,6 @@ class TreeEngine(Engine):
     def key(self, g):
         return g.steps, g.tail
 
-    def is_in_U(self, g):
-        return not g.steps
-
     def coset_split(self, g):
         # gU is determined by the step chain alone
         return TreeElement(g.steps, self.model.identity()), g.tail
@@ -101,9 +98,6 @@ class BrittonWord:
 
     letter: str
     tokens: tuple
-
-    def stable_count(self) -> int:
-        return sum(1 for t in self.tokens if t[0] == "gen")
 
 
 def hnn_retract(model: BaseModel, graph: Graph, tokens, letter: str = "t") -> BrittonWord:

@@ -146,7 +146,6 @@ def make_parser() -> argparse.ArgumentParser:
         sp.add_argument("--model", help="model JSON file")
         sp.add_argument("--radius", type=int, default=2)
         sp.add_argument("--out", help="write the report/export here")
-        sp.add_argument("--seed", type=int, default=0)
         sp.add_argument("--cap-vertices", type=int, default=1_000_000)
         sp.add_argument("--cap-cubes", type=int, default=10_000_000)
 
@@ -156,20 +155,8 @@ def make_parser() -> argparse.ArgumentParser:
 
     v = sub.add_parser("verify", help="run a verification suite")
     common(v)
-    v.add_argument(
-        "--suite",
-        required=True,
-        choices=[
-            "normal-form",
-            "stabilisers",
-            "intersections",
-            "nerve",
-            "links",
-            "pockets",
-            "valleys",
-            "sb",
-        ],
-    )
+    v.add_argument("--suite", required=True, choices=verification.SUITES)
+    v.add_argument("--seed", type=int, default=0)
     v.add_argument("--n", type=int, default=3, help="degree parameter for the sb suite")
     v.add_argument("--latitude", type=int, default=0)
     v.add_argument("--window", type=int, default=4)

@@ -86,9 +86,6 @@ class CubeBall:
     def n_vertices(self):
         return len(self.vertex_reps)
 
-    def cubes_of_dim(self, d):
-        return [c for c in self.cubes if c.dim == d]
-
     def interior_vertices(self):
         """Vertices whose whole star (all incident cubes) is inside the ball."""
         margin = max(1, cliques(self.graph).max_size())

@@ -168,10 +168,10 @@ class Engine:
     elements get one name iff they lie in one coset.
 
     Each engine supplies the primitives ``identity``, ``mul_token``,
-    ``tokens``, ``key``, ``is_in_U``, ``coset_split``, ``apartment_key`` and
-    ``format``; the group operations below derive from them.  An engine may
-    override a derived method with a cheaper computation on its own
-    representation that returns the same element, or names the same coset.
+    ``tokens``, ``key``, ``coset_split``, ``apartment_key`` and ``format``;
+    the group operations below derive from them.  An engine may override a
+    derived method with a cheaper computation on its own representation
+    that returns the same element, or names the same coset.
     """
 
     regime = "abstract"
@@ -193,9 +193,6 @@ class Engine:
         raise NotImplementedError
 
     def key(self, a):
-        raise NotImplementedError
-
-    def is_in_U(self, a) -> bool:
         raise NotImplementedError
 
     def coset_split(self, a):
@@ -223,15 +220,6 @@ class Engine:
 
     def inv(self, a):
         return self.from_tokens(invert_tokens(self.model, self.tokens(a)))
-
-    def u_value(self, a):
-        if not self.is_in_U(a):
-            raise ValueError("element is not in U")
-        m = self.model
-        out = m.identity()
-        for _, u in self.tokens(a):
-            out = m.mul(out, u)
-        return out
 
     def exponent(self, a) -> int:
         """Image under the generators |-> 1, U |-> 0 homomorphism to Z."""
@@ -317,9 +305,6 @@ class AutomorphicEngine(Engine):
 
     def key(self, a):
         return a.head, a.tail
-
-    def is_in_U(self, a):
-        return a.length == 0
 
     def coset_split(self, a):
         # the least key over aU; a = (a u) * u^-1

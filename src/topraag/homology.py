@@ -8,6 +8,7 @@ on construction.  Reduced homology is computed from the augmented complex.
 
 from __future__ import annotations
 
+import bisect
 import heapq
 from dataclasses import dataclass
 
@@ -282,6 +283,27 @@ class ChainComplex:
             self._snf[degree] = res
         return res
 
+    def prefix(self, n: int) -> "ChainComplex":
+        """The full subcomplex on vertex ids < n.  With cells in colex order
+        (as ``chain_complex`` keeps them) its cells are the first cells of
+        every degree and its boundaries the top-left blocks; degrees without
+        cells and rows left empty are dropped, as a rebuild would drop them."""
+        cells = {}
+        for d, column in self.cells.items():
+            k = bisect.bisect_left(column, n, key=max)
+            if k:
+                cells[d] = column[:k]
+        counts = {d: len(column) for d, column in cells.items()}
+        boundaries = {}
+        for d in range(1, max(counts, default=0) + 1):
+            bd = boundaries[d] = SparseMatrix(counts.get(d - 1, 0), counts.get(d, 0))
+            for i, row in self.boundaries[d].rows.items():
+                if i < bd.nrows:
+                    kept = {j: v for j, v in row.items() if j < bd.ncols}
+                    if kept:
+                        bd.rows[i] = kept
+        return ChainComplex(boundaries, counts, cells)
+
     def _check_dd(self):
         for d, bd in self.boundaries.items():
             upper = self.boundaries.get(d + 1)
@@ -412,10 +434,6 @@ def sublevel_complex(ball, t: int):
     return cells
 
 
-def snf_rank(matrix) -> int:
-    return smith_normal_form(matrix).rank
-
-
 def simplicial_chain_complex(simplices) -> ChainComplex:
     """Chain complex of a simplicial complex given as vertex sets; standard
     alternating signs over sorted vertex tuples."""
@@ -488,7 +506,7 @@ def persistent_reduced_betti(small, big, degree: int) -> int:
     relative = SparseMatrix(ccB.counts.get(k, 0) - a, ccB.counts.get(k + 1, 0))
     if k + 1 in ccB.boundaries:
         relative.rows = {i - a: row for i, row in ccB.boundaries[k + 1].rows.items() if i >= a}
-    return a + snf_rank(relative) - ccA.snf(k).rank - ccB.snf(k + 1).rank
+    return a + smith_normal_form(relative).rank - ccA.snf(k).rank - ccB.snf(k + 1).rank
 
 
 def valley_homology_report(graph, latitude: int, word_radius: int, **caps) -> dict:
@@ -502,8 +520,8 @@ def valley_homology_report(graph, latitude: int, word_radius: int, **caps) -> di
     Only the bigger window is built, under ``caps`` (``vertex_cap``,
     ``cube_cap``, as for valley_cells).  Its vertex ids are sorted by word
     length and both windows share the e-range, so the smaller window is the
-    full subcomplex on the ids of the words of length <= ``word_radius``:
-    a column prefix of the bigger chain complex in every degree.
+    full subcomplex on the ids of the words of length <= ``word_radius``,
+    sliced from the bigger chain complex as a column prefix in every degree.
     """
     from .complexes import valley_cells
 
@@ -512,8 +530,8 @@ def valley_homology_report(graph, latitude: int, word_radius: int, **caps) -> di
     e_lo = latitude - word_radius - 2
     verts, cubes = valley_cells(graph, latitude, (e_lo, latitude), word_radius + 1, **caps)
     m = sum(1 for w in verts if len(w) <= word_radius)
-    cc_small = chain_complex([c for c in cubes if max(c[2]) < m])
     cc_big = chain_complex(cubes)
+    cc_small = cc_big.prefix(m)
     reports = {
         word_radius: reduced_homology(cc_small).to_json(),
         word_radius + 1: reduced_homology(cc_big).to_json(),

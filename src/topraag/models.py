@@ -155,15 +155,6 @@ class BaseModel:
         raise NotImplementedError
 
 
-def index_of(model: BaseModel, which: str):
-    """Exact index |U:O| or |U:phi(O)|."""
-    if which == "O":
-        return model.index_O()
-    if which in ("phiO", "phi(O)"):
-        return model.index_phiO()
-    raise ValueError(f"which must be 'O' or 'phiO', got {which!r}")
-
-
 class FiniteModel(BaseModel):
     kind = "finite"
 

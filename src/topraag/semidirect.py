@@ -84,9 +84,6 @@ class SemidirectEngine(Engine):
     def key(self, g):
         return (self.model.spell(g.n), g.a)
 
-    def is_in_U(self, g):
-        return not g.a and g.n.denominator == 1
-
     def coset_split(self, g):
         # gU = g'U iff the Artin parts agree and the n-parts agree modulo
         # s^e U s^-e = m^e Z with e the common exponent; g = rep * u with
@@ -120,25 +117,11 @@ class SemidirectEngine(Engine):
     def inv(self, g):
         return SemidirectElement(-g.n * self.model.scale(-g.e), W.invert(self.graph, g.a), -g.e)
 
-    def exponent(self, g):
-        return g.e
-
     def a_part(self, g):
         return g.a
 
     def n_part(self, g):
         return SemidirectElement(g.n, (), 0)
-
-
-def epsilon_latitude(model: ShiftModel, n):
-    """Largest e with the value n inside s^e O s^-e; +inf only for 0."""
-    if not isinstance(model, ShiftModel):
-        raise RegimeMismatch("latitude is defined over shift models")
-    return model.latitude(n)
-
-
-def semi_of_word(model: ShiftModel, graph: Graph, tokens) -> SemidirectElement:
-    return SemidirectEngine(model, graph).from_tokens(tokens)
 
 
 def random_semidirect_tokens(model: ShiftModel, graph: Graph, rng, length: int):
@@ -155,8 +138,6 @@ def random_semidirect_tokens(model: ShiftModel, graph: Graph, rng, length: int):
 __all__ = [
     "SemidirectElement",
     "SemidirectEngine",
-    "epsilon_latitude",
-    "semi_of_word",
     "random_semidirect_tokens",
     "INFINITE",
 ]

@@ -295,6 +295,7 @@ BALL_SUITES = {
     "links": suite_links,
     "pockets": suite_pockets,
 }
+SUITES = ("normal-form", *BALL_SUITES, "valleys", "sb")
 
 
 def run_suite(

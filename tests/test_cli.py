@@ -327,6 +327,16 @@ def test_homology_valley(capsys):
     assert "persistent_reduced_betti" in rep
 
 
+@pytest.mark.parametrize("command", ["build", "homology"])
+def test_seed_only_on_verify(capsys, command):
+    # only the verify suites draw random samples
+    with pytest.raises(SystemExit) as exc:
+        run_cli([command, "--seed", "1", "--graph", CONFIGS / "edge.json",
+                 "--model", CONFIGS / "trivial.json"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+
+
 def test_deterministic_reports(tmp_path):
     out1, out2 = tmp_path / "r1.json", tmp_path / "r2.json"
     for out in (out1, out2):

@@ -64,7 +64,7 @@ SM2 = ShiftModel(2)
 def test_ball_counts_bass_serre_tree():
     ball = build_ball(SM2, single_vertex("s"), 1)
     assert ball.n_vertices == 4
-    assert len(ball.cubes_of_dim(1)) == 3
+    assert sum(c.dim == 1 for c in ball.cubes) == 3
     # radius 2: every vertex within distance 1 has full degree m+1 = 3
     ball2 = build_ball(SM2, single_vertex("s"), 2)
     neighbours = skeleton_neighbours(ball2)
@@ -76,8 +76,8 @@ def test_ball_counts_bass_serre_tree():
 def test_ball_counts_edge_shift():
     ball = build_ball(SM2, EDGE, 1)
     assert ball.n_vertices == 7
-    assert len(ball.cubes_of_dim(1)) == 6
-    assert not ball.cubes_of_dim(2)
+    assert sum(c.dim == 1 for c in ball.cubes) == 6
+    assert not any(c.dim == 2 for c in ball.cubes)
 
 
 def test_ball_counts_trivial_model():
@@ -86,7 +86,7 @@ def test_ball_counts_trivial_model():
     ball2 = build_ball(TrivialModel(), EDGE, 2)
     # Z^2 grid ball of radius 2: 13 vertices, 4 unit squares touching origin
     assert ball2.n_vertices == 13
-    assert len(ball2.cubes_of_dim(2)) == 4
+    assert sum(c.dim == 2 for c in ball2.cubes) == 4
 
 
 def test_degree_formula():
@@ -171,7 +171,7 @@ def test_cube_transitivity_spot_check():
 
 def test_exponent_on_ball_vertices():
     ball = build_ball(SM2, EDGE, 2)
-    for c in ball.cubes_of_dim(1):
+    for c in (c for c in ball.cubes if c.dim == 1):
         a, b = sorted(c.corners, key=lambda v: ball.exponent[v])
         assert ball.exponent[b] - ball.exponent[a] == 1
         assert c.corners[0] == a

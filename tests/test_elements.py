@@ -28,7 +28,7 @@ from topraag.elements import (
 )
 from topraag.verification import random_normal_sequence, random_word
 
-from test_engine_contract import F20, INVERSION
+from test_engine_contract import F20, INVERSION, u_of_tokens
 
 EDGE = edge_graph()
 C4 = cycle_graph("abcd")
@@ -233,7 +233,7 @@ def test_U_cap_aUa_is_O():
             inside = set()
             for u in S3A3.U:
                 conj = eng.from_tokens(a_toks + (u_token(u),) + inv_toks)
-                if eng.is_in_U(conj):
+                if u_of_tokens(eng, conj) is not None:
                     inside.add(u)
                     assert u in S3A3.O
             assert inside == set(S3A3.O)
@@ -250,7 +250,7 @@ def test_index_U_mod_intersection():
             inside = [
                 u
                 for u in S3A3.U
-                if eng.is_in_U(eng.from_tokens(a_toks + (u_token(u),) + inv_toks))
+                if u_of_tokens(eng, eng.from_tokens(a_toks + (u_token(u),) + inv_toks)) is not None
             ]
             assert len(S3A3.U) // len(inside) == S3A3.index_O()
 
@@ -270,7 +270,7 @@ def test_index_bound_for_two_syllable_elements(capsys):
         inside = [
             u
             for u in S3A3.U
-            if eng.is_in_U(eng.from_tokens(g_toks + (u_token(u),) + inv_toks))
+            if u_of_tokens(eng, eng.from_tokens(g_toks + (u_token(u),) + inv_toks)) is not None
         ]
         index = len(S3A3.U) // len(inside)
         assert index <= S3A3.index_O() ** 2
@@ -292,11 +292,10 @@ def test_n_part_a_part():
     g = eng.from_tokens((u_token(T12), gen_token("s", 1)))
     assert eng.a_part(g) == W.single("s", 1)
     n = eng.n_part(g)
-    assert eng.is_in_U(n) and eng.u_value(n) == T12
+    assert u_of_tokens(eng, n) == T12
     # pure Artin element: n = 1
     h = eng.from_tokens(parse_tokens(S3A3, EDGE, "s t^-1"))
-    assert eng.is_in_U(eng.n_part(h))
-    assert eng.u_value(eng.n_part(h)) == IDENT
+    assert u_of_tokens(eng, eng.n_part(h)) == IDENT
 
 
 def test_n_part_recombination_random():

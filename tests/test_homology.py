@@ -75,7 +75,7 @@ def test_snf_transforms():
         assert res.divisors == smith_normal_form(m).divisors
 
 
-def test_snf_rank_matches_Q_rank_random():
+def test_smith_normal_form_rank_matches_Q_rank_random():
     rng = random.Random(2)
     for _ in range(120):
         rows, cols = rng.randint(1, 7), rng.randint(1, 7)
@@ -409,13 +409,17 @@ DIFF_GRAPHS = {
 }
 
 
-def assert_same_chain_complex(cells):
-    got, want = chain_complex(cells), oracles.chain_complex(cells)
+def assert_equal_complexes(got, want):
     assert got.counts == want.counts
     assert got.cells == want.cells
     assert got.boundaries.keys() == want.boundaries.keys()
     for d, bd in got.boundaries.items():
+        assert (bd.nrows, bd.ncols) == (want.boundaries[d].nrows, want.boundaries[d].ncols), d
         assert bd.rows == want.boundaries[d].rows, d
+
+
+def assert_same_chain_complex(cells):
+    assert_equal_complexes(chain_complex(cells), oracles.chain_complex(cells))
 
 
 @pytest.mark.parametrize("name", sorted(DIFF_GRAPHS))
@@ -433,6 +437,21 @@ def test_chain_complex_matches_oracle_on_valley_windows(name):
             e_range = (latitude - word_radius - 2, latitude)
             _, cubes = valley_cells(DIFF_GRAPHS[name], latitude, e_range, word_radius + 1)
             assert_same_chain_complex(cubes)
+
+
+@pytest.mark.parametrize("name", sorted(DIFF_GRAPHS))
+def test_prefix_matches_the_rebuilt_window(name):
+    # the small window of valley_homology_report, sliced from the big
+    # window's complex, against the complex built from its own cells
+    for latitude in (-1, 0, 1):
+        for word_radius in range(6):
+            e_range = (latitude - word_radius - 2, latitude)
+            verts, cubes = valley_cells(DIFF_GRAPHS[name], latitude, e_range, word_radius + 1)
+            big = chain_complex(cubes)
+            m = sum(1 for w in verts if len(w) <= word_radius)
+            for n in (0, m):
+                rebuilt = chain_complex([c for c in cubes if max(c[2]) < n])
+                assert_equal_complexes(big.prefix(n), rebuilt)
 
 
 def test_dd_zero_on_generated_complexes():

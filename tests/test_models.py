@@ -12,7 +12,6 @@ from topraag.models import (
     FiniteModel,
     ShiftModel,
     TrivialModel,
-    index_of,
     model_from_config,
     perm_from_cycles,
     perm_identity,
@@ -35,8 +34,8 @@ def test_s3_a3_structure():
     assert len(S3A3.O) == 3
     assert S3A3.is_automorphic
     assert not S3A3.is_shrinking
-    assert index_of(S3A3, "O") == 2
-    assert index_of(S3A3, "phiO") == 2
+    assert S3A3.index_O() == 2
+    assert S3A3.index_phiO() == 2
 
 
 def test_decompose_exhaustive_oracle():

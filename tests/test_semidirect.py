@@ -18,9 +18,7 @@ from topraag.elements import engine_for, gen_token, parse_tokens, u_token
 from topraag.semidirect import (
     SemidirectElement,
     SemidirectEngine,
-    epsilon_latitude,
     random_semidirect_tokens,
-    semi_of_word,
 )
 
 EDGE = edge_graph()
@@ -32,13 +30,13 @@ SHIFTS = [SM2, ShiftModel(4), ShiftModel(6)]
 
 def test_spec_examples():
     # s 1 s^-1 = 2 in U
-    g = semi_of_word(SM2, EDGE, parse_tokens(SM2, EDGE, "s 1 s^-1"))
+    eng = SemidirectEngine(SM2, EDGE)
+    g = eng.from_tokens(parse_tokens(SM2, EDGE, "s 1 s^-1"))
     assert g.n == 2 and g.a == ()
     # s^-1 1 s = one half
-    g = semi_of_word(SM2, EDGE, parse_tokens(SM2, EDGE, "s^-1 1 s"))
+    g = eng.from_tokens(parse_tokens(SM2, EDGE, "s^-1 1 s"))
     assert g.n == Fraction(1, 2) and g.a == ()
     # (3, s) * (0, s^-1) = (3, 1)
-    eng = SemidirectEngine(SM2, EDGE)
     a = eng.make(3, W.single("s", 1))
     b = eng.make(0, W.single("s", -1))
     assert eng.mul(a, b) == eng.make(3, ())
@@ -91,14 +89,14 @@ def test_extended_exponent_and_parts():
     assert n.n == 10  # collection: s u = (s u s^-1) s
 
 
-def test_epsilon_latitude_values():
-    assert epsilon_latitude(SM2, 6) == 1
-    assert epsilon_latitude(SM2, 5) == 0
-    assert epsilon_latitude(SM2, Fraction(1, 4)) == -2
-    assert epsilon_latitude(SM2, 0) == math.inf
+def test_latitude_values():
+    assert SM2.latitude(6) == 1
+    assert SM2.latitude(5) == 0
+    assert SM2.latitude(Fraction(1, 4)) == -2
+    assert SM2.latitude(0) == math.inf
 
 
-def test_epsilon_latitude_bruteforce():
+def test_latitude_bruteforce():
     # eps(n) = max{ e in [-5,5] : n lies in s^e U s^-e }, checked by direct
     # membership: s^-e n s^e must be an integer
     rng = random.Random(2)
@@ -111,7 +109,7 @@ def test_epsilon_latitude_bruteforce():
         for e in range(-5, 6):
             if (n / Fraction(SM2.m) ** e).denominator == 1:
                 best = e
-        eps = epsilon_latitude(SM2, n)
+        eps = SM2.latitude(n)
         assert -5 <= eps <= 5 and eps == best
 
 
@@ -123,7 +121,7 @@ def test_epsilon_symmetry_and_conjugation_shift():
         n = Fraction(rng.randint(-30, 30), SM2.m**k)
         if n == 0:
             continue
-        assert epsilon_latitude(SM2, n) == epsilon_latitude(SM2, -n)
+        assert SM2.latitude(n) == SM2.latitude(-n)
         # a O a^-1 = s^{e(a)} O s^{-e(a)}: membership via latitude
         a = tuple((rng.choice("st"), rng.choice((1, -1))) for _ in range(rng.randint(0, 4)))
         a_toks = tuple(gen_token(g, e) for g, e in a)
@@ -132,7 +130,7 @@ def test_epsilon_symmetry_and_conjugation_shift():
             eng.inv(eng.from_tokens(a_toks)),
         )
         e_a = W.exponent(a)
-        assert epsilon_latitude(SM2, conj.n) == epsilon_latitude(SM2, n) + e_a
+        assert SM2.latitude(conj.n) == SM2.latitude(n) + e_a
 
 
 def test_conjugation_agreement_across_generators():
