@@ -11,7 +11,8 @@ Regimes and engines
   reads no memo).  The engine multiplies on the right, pushing a
   U-remainder left through the pairs by a w = phi^{e(a)}(w) a for w in O,
   and acts by whole blocks, reading each block's exponent and inverse, and
-  each merge of two blocks, from per-engine memos.
+  each merge of two blocks, from per-engine memos.  The least sequence over
+  aU ends in the trivial representative, so coset_split tries |O| remainders.
 * O = U with phi shrinking and the graph connected: see ``semidirect``.
 * edgeless graphs over any model: see ``britton``.
 
@@ -21,7 +22,7 @@ by the cube-complex builder.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import words as W
 from .errors import RegimeMismatch, RelationViolation
@@ -62,8 +63,7 @@ def invert_tokens(model: BaseModel, toks) -> tuple[Token, ...]:
     return tuple(invert_token(model, t) for t in reversed(toks))
 
 
-@dataclass(frozen=True)
-class NormalSequence:
+class NormalSequence(NamedTuple):
     """Canonical representative (head, ((a1, u1), ..., (an, un)))."""
 
     head: object
@@ -79,17 +79,17 @@ def base_sequence(model: BaseModel, u=None) -> NormalSequence:
 
 
 def _left_block(
-    model: BaseModel, g: Graph, a: W.Word, e: int, seq: NormalSequence, multiply
+    model: BaseModel, g: Graph, a: W.Word, e: int, head, tail: tuple, multiply
 ) -> NormalSequence:
-    """a * seq for a nonempty canonical Artin word a of exponent e: with
-    head = omega u_hat, a omega = phi^e(omega) a, and a merges into the
+    """a * (head; tail) for a nonempty canonical Artin word a of exponent e:
+    with head = omega u_hat, a omega = phi^e(omega) a, and a merges into the
     first block only when u_hat is trivial, by multiply (``W.multiply`` or
     a lookup with its signature and result)."""
-    omega, u_hat = model.decompose(seq.head)
+    omega, u_hat = model.decompose(head)
     head = model.phi_power(omega, e)
-    if not seq.tail or u_hat != model.identity():
-        return NormalSequence(head, ((a, u_hat),) + seq.tail)
-    (a1, u1), rest = seq.tail[0], seq.tail[1:]
+    if not tail or u_hat != model.identity():
+        return NormalSequence(head, ((a, u_hat),) + tail)
+    (a1, u1), rest = tail[0], tail[1:]
     merged = multiply(g, a, a1)
     if not merged:
         return NormalSequence(model.mul(head, u1), rest)
@@ -135,7 +135,7 @@ def act_letter(model: BaseModel, g: Graph, token: Token, seq: NormalSequence) ->
     _, gen, sign = token
     if gen not in g._adj or (sign != 1 and sign != -1):
         W.check_letters(g, ((gen, sign),))
-    return _left_block(model, g, W.single(gen, sign), sign, seq, W.multiply)
+    return _left_block(model, g, W.single(gen, sign), sign, seq.head, seq.tail, W.multiply)
 
 
 def act_word(model: BaseModel, g: Graph, tokens, seq: NormalSequence) -> NormalSequence:
@@ -266,8 +266,7 @@ class AutomorphicEngine(Engine):
         if not model.is_automorphic:
             raise RegimeMismatch("automorphic engine needs phi(O) = O")
         super().__init__(model, graph)
-        self._U = sorted(model.U)
-        self._O = sorted(u for u in self._U if model.in_O(u))
+        self._O = sorted(u for u in model.U if model.in_O(u))
         # per-engine memos, filled on a miss by the word layer: a block's
         # record block -> (exponent, canonical inverse), and the merge
         # (a, a1) -> canonical a a1 of two blocks
@@ -307,10 +306,17 @@ class AutomorphicEngine(Engine):
         return a.head, a.tail
 
     def coset_split(self, a):
-        # the least key over aU; a = (a u) * u^-1
-        cands = ((_right_u(self.model, a, u, self._exponent), u) for u in self._U)
-        rep, u = min(cands, key=lambda c: self.key(c[0]))
-        return rep, self.model.inv(u)
+        # the least key over aU, a = (a v) * v^-1: as v runs over U, un v =
+        # omega r runs over O x R, r = 1 (the least permutation) in the least
+        # key, and c = phi^{e(an)}(omega) enters the pairs before an from O
+        m = self.model
+        if not a.tail:
+            return base_sequence(m), a.head
+        an, un = a.tail[-1]
+        rest = NormalSequence(a.head, a.tail[:-1])
+        (head, tail), c = min((_right_u(m, rest, c, self._exponent), c) for c in self._O)
+        x = m.mul(m.inv(m.phi_power(c, -self._exponent(an))), un)
+        return NormalSequence(head, tail + ((an, m.identity()),)), x
 
     def apartment_key(self, n):
         # apartments n*Sigma0 = n'*Sigma0 iff n^-1 n' lies in the pointwise
@@ -330,20 +336,21 @@ class AutomorphicEngine(Engine):
     # read from its record.
     def mul(self, a, b):
         m, g = self.model, self.graph
+        head, tail = b
         for block, u in reversed(a.tail):
-            b = NormalSequence(m.mul(u, b.head), b.tail)
-            b = _left_block(m, g, block, self._block(block)[0], b, self._multiply)
-        return NormalSequence(m.mul(a.head, b.head), b.tail)
+            e = self._exponent(block)
+            head, tail = _left_block(m, g, block, e, m.mul(u, head), tail, self._multiply)
+        return NormalSequence(m.mul(a.head, head), tail)
 
     def inv(self, a):
         # a^-1 = un^-1 an^-1 ... u1^-1 a1^-1 u0^-1, folded from the right
         m, g = self.model, self.graph
-        out = base_sequence(m, m.inv(a.head))
+        head, tail = m.inv(a.head), ()
         for block, u in a.tail:
             e, inverse = self._block(block)
-            out = _left_block(m, g, inverse, -e, out, self._multiply)
-            out = NormalSequence(m.mul(m.inv(u), out.head), out.tail)
-        return out
+            head, tail = _left_block(m, g, inverse, -e, head, tail, self._multiply)
+            head = m.mul(m.inv(u), head)
+        return NormalSequence(head, tail)
 
     def a_part(self, a):
         # the blocks' product, merged pairwise through the memo

@@ -232,6 +232,9 @@ class FiniteModel(BaseModel):
             reps = sorted(min(members) for members in cosets.values())
         else:
             reps = [tuple(r) for r in coset_reps]
+            for r in reps:
+                if r not in self.U:
+                    raise ModelError(f"coset_reps entry {list(r)} is not a permutation in U")
             keys = {frozenset(perm_mul(w, r) for w in self.O) for r in reps}
             if len(keys) != len(cosets) or len(reps) != len(cosets):
                 raise ModelError("explicit coset_reps is not a right transversal")

@@ -20,6 +20,9 @@ its 1-cubes; the ball itself keeps neither.
 elimination) check the ranks of the Smith normal form; the two Euler
 characteristics check homology against cell counts.
 
+``least_key_coset_split`` is the automorphic engine's coset split by search:
+the least key over all of ``aU``, one right action by each element of U.
+
 ``bs_word_reduce`` / ``bs_words_equal`` decide equality in BS(1, m) by
 pinch-only Britton reduction, ``britton_is_pinch_free`` checks the output of
 ``hnn_retract``, and ``AmalgamNormalizer`` gives the classical amalgam normal
@@ -262,6 +265,15 @@ def normal_form_greedy(g, w) -> tuple:
     """Oracle for long words: the greedy extraction of the reduced word."""
     W.check_letters(g, w)
     return tuple(lex_least(g, shuffle_reduce(g, w)))
+
+
+def least_key_coset_split(engine, a) -> tuple:
+    """Oracle: (rep, x) with rep the normal sequence of least key over aU and
+    a = rep * x, searched over every u in U as rep = a u, x = u^-1."""
+    model = engine.model
+    cands = ((engine.mul_token(a, u_token(u)), u) for u in sorted(model.U))
+    rep, u = min(cands, key=lambda c: engine.key(c[0]))
+    return rep, model.inv(u)
 
 
 def rank_over_Q(matrix) -> int:

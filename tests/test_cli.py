@@ -85,6 +85,30 @@ def test_model_missing_key_exit_2(tmp_path, capsys):
     assert capsys.readouterr().err == "config error: shift model needs 'm'\n"
 
 
+S3 = {"kind": "finite", "degree": 3, "U_gens": [[1, 0, 2], [1, 2, 0]]}
+
+
+@pytest.mark.parametrize(
+    "model, bad",
+    [
+        ({**S3, "O_gens": [[1, 2, 0]], "phi_images": [[1, 2, 0]], "coset_reps": [[0, 1, 2], [1, 0]]}, [1, 0]),
+        (
+            # U = A3 and O = 1: the transpositions lie outside U
+            {**S3, "U_gens": [[1, 2, 0]], "O_gens": [], "phi_images": [],
+             "coset_reps": [[0, 1, 2], [1, 0, 2], [0, 2, 1]]},
+            [1, 0, 2],
+        ),
+    ],
+    ids=["short", "outside-U"],
+)
+def test_coset_reps_entry_outside_U_exit_2(tmp_path, capsys, model, bad):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(model))
+    code = run_cli(["build", "--graph", CONFIGS / "edge.json", "--model", path])
+    assert code == 2
+    assert capsys.readouterr().err == f"config error: coset_reps entry {bad} is not a permutation in U\n"
+
+
 @pytest.mark.parametrize(
     "graph",
     [

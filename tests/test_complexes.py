@@ -7,8 +7,8 @@ from types import SimpleNamespace
 
 import pytest
 
-from oracles import cube_faces, skeleton_neighbours
-from test_engine_contract import F20
+from oracles import cube_faces, least_key_coset_split, skeleton_neighbours
+from test_engine_contract import F20, S3_O2, S4_S3
 from topraag import words as W
 from topraag.errors import EmptyWindow, InfiniteStabiliser, NoInteriorVertices, ResourceCap
 from topraag.graphs import (
@@ -456,13 +456,35 @@ def _probed_table_ball(model, graph, radius):
 
 
 # TABLE_BALLS, 3-cubes over a shift model (the one face lift by phi^-2 of a
-# nontrivial omega), 2-cubes with c0 != c, and phi of order 4
+# nontrivial omega), 2-cubes with c0 != c, phi of order 4, and two O that
+# are not normal in U
 WALK_BALLS = TABLE_BALLS + [
     (SM2, complete_graph("abc"), 3),
     (ShiftModel(3), path_graph("pqr"), 3),
     (F20, EDGE, 2),
+    (S3_O2, complete_graph("abc"), 2),
+    (S4_S3, EDGE, 2),
 ]
-WALK_IDS = TABLE_IDS + ["shift2-k3", "shift3-path3-r3", "f20-edge"]
+WALK_IDS = TABLE_IDS + ["shift2-k3", "shift3-path3-r3", "f20-edge", "s3-o2-k3", "s4-s3-edge"]
+AUTOMORPHIC_WALK_IDS = [i for i, (m, _, _) in zip(WALK_IDS, WALK_BALLS) if m.is_automorphic]
+AUTOMORPHIC_WALK_BALLS = [b for b in WALK_BALLS if b[0].is_automorphic]
+
+
+@pytest.mark.parametrize("model, graph, radius", AUTOMORPHIC_WALK_BALLS, ids=AUTOMORPHIC_WALK_IDS)
+def test_coset_split_matches_the_least_key_search(model, graph, radius):
+    # at every element r_v u of every vertex coset, coset_split and the
+    # walk's walk_split give the least key over the coset found by search
+    ball = build_ball(model, graph, radius)
+    eng = ball.engine
+    for rep in ball.vertex_reps:
+        for u in sorted(model.U):
+            a = eng.mul_token(rep, u_token(u))
+            expected = least_key_coset_split(eng, a)
+            assert eng.coset_split(a) == expected
+            walk = eng.identity()
+            for tok in eng.tokens(a):
+                walk = eng.walk_token(walk, tok)
+            assert eng.walk_split(walk, *eng.coset_name(walk))[:2] == expected
 
 
 @pytest.mark.parametrize("model, graph, radius", WALK_BALLS, ids=WALK_IDS)

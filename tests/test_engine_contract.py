@@ -56,6 +56,17 @@ C5 = perm_from_cycles(5, [[0, 1, 2, 3, 4]])
 F20 = FiniteModel(
     5, [C5, perm_from_cycles(5, [[1, 2, 4, 3]])], [C5], [perm_from_cycles(5, [[0, 2, 4, 1, 3]])]
 )
+# O not normal in U, so a remainder pushed through a pair changes its
+# representative: O = <(0 1)> in S3 with phi = id, and O = S3 on {0, 1, 2}
+# in S4 with phi = conjugation by (1 2)
+T01 = perm_from_cycles(3, [[0, 1]])
+S3_O2 = FiniteModel(3, S3A3.u_gens, [T01], [T01])
+S4_S3 = FiniteModel(
+    4,
+    [perm_from_cycles(4, [[0, 1]]), perm_from_cycles(4, [[0, 1, 2, 3]])],
+    [perm_from_cycles(4, [[0, 1]]), perm_from_cycles(4, [[0, 1, 2]])],
+    [perm_from_cycles(4, [[0, 2]]), perm_from_cycles(4, [[0, 2, 1]])],
+)
 ST = edgeless_graph("st")
 
 CASES = [
@@ -63,6 +74,8 @@ CASES = [
     ("automorphic", TrivialModel(), cycle_graph("abcd")),
     ("automorphic", INVERSION, edge_graph()),
     ("automorphic", F20, cycle_graph("abcd")),
+    ("automorphic", S3_O2, path_graph("pqr")),
+    ("automorphic", S4_S3, edge_graph()),
     ("semidirect", ShiftModel(2), edge_graph()),
     ("semidirect", ShiftModel(3), path_graph("pqr")),
     ("semidirect", ShiftModel(4), edge_graph()),
@@ -71,7 +84,7 @@ CASES = [
     ("tree", GENERAL, ST),
 ]
 IDS = [
-    "s3a3-edge", "trivial-c4", "inversion-edge", "f20-c4", "shift2-edge", "shift3-path3", "shift4-edge",
+    "s3a3-edge", "trivial-c4", "inversion-edge", "f20-c4", "s3-o2-path3", "s4-s3-edge", "shift2-edge", "shift3-path3", "shift4-edge",
     "shift6-path3", "shift2-st", "general-st",
 ]
 

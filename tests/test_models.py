@@ -180,6 +180,21 @@ def test_non_subgroup_rejected():
         FiniteModel(3, [perm_from_cycles(3, [[0, 1, 2]])], [t12], [t12])
 
 
+# a short entry, and a three-coset transversal of O = 1 in U = A3 whose
+# transpositions lie outside U
+BAD_COSET_REPS = {
+    "short": (S3A3.u_gens, S3A3.o_gens, [[0, 1, 2], [1, 0]], [1, 0]),
+    "outside-U": ([perm_from_cycles(3, [[0, 1, 2]])], [], [[0, 1, 2], [1, 0, 2], [0, 2, 1]], [1, 0, 2]),
+}
+
+
+@pytest.mark.parametrize("u_gens, o_gens, reps, bad", BAD_COSET_REPS.values(), ids=BAD_COSET_REPS.keys())
+def test_coset_reps_outside_U_rejected(u_gens, o_gens, reps, bad):
+    with pytest.raises(ModelError) as err:
+        FiniteModel(3, u_gens, o_gens, o_gens, coset_reps=reps)
+    assert str(err.value) == f"coset_reps entry {bad} is not a permutation in U"
+
+
 def test_shift_model_basics():
     sm = ShiftModel(2)
     assert sm.index_O() == 1 and sm.index_phiO() == 2
