@@ -50,7 +50,7 @@ class CubeBall:
         self.radius: int = radius
         self.engine: Engine = engine
         self.vertex_reps = []            # canonical coset representatives
-        self.vertex_ids = {}             # coset key -> id
+        self.vertex_ids = {}             # canonical coset representative -> id
         self.dist = []
         self.exponent = []
         self.cubes: list[Cube] = []
@@ -61,11 +61,10 @@ class CubeBall:
         self.apartment_trace = None      # (words -> ids, cubes), built on demand
 
     # -- construction helpers ----------------------------------------------
-    def _add_vertex(self, rep, d, key, e):
-        """New vertex rep U at distance d and exponent e, named by key =
-        engine.coset_key(rep)."""
+    def _add_vertex(self, rep, d, e):
+        """New vertex rep U at distance d and exponent e, rep canonical."""
         vid = len(self.vertex_reps)
-        self.vertex_ids[key] = vid
+        self.vertex_ids[rep] = vid
         self.vertex_reps.append(rep)
         self.dist.append(d)
         self.exponent.append(e)
@@ -79,7 +78,7 @@ class CubeBall:
 
     def vertex_id_of(self, elem) -> int | None:
         """Id of the vertex (coset) containing the element, if in the ball."""
-        return self.vertex_ids.get(self.engine.coset_key(elem))
+        return self.vertex_ids.get(self.engine.coset_rep(elem))
 
     # -- views ---------------------------------------------------------------
     @property
@@ -143,11 +142,10 @@ def build_ball(
     (_attach_cubes).  A cube stores its transversal rep c, not its defining
     element; ball.cube_element(cube) multiplies that out on demand.
 
-    A probe r_v u t^sign moves the walk at r_v by two tokens, and
-    engine.coset_name reads its coset key and y with r_v u t^sign = b y, b
-    fixed by the key.  With r_w = b p_w the table entry is x = p_w^-1 y.
-    Only a new vertex pays for its canonical representative, and its
-    exponent is its parent's plus the sign, since e(U) = 0.
+    A probe multiplies r_v by the tokens u and t^sign and splits the product
+    r_v u t^sign = r_w x (engine.coset_split): vertices are keyed by their
+    canonical representative r_w, and the table entry is (w, x).  A new
+    vertex's exponent is its parent's plus the sign, since e(U) = 0.
 
     Each probe also fills the reverse entry (the deduction step of
     Todd-Coxeter coset enumeration): with x t^-sign = u' t^-sign c from
@@ -156,25 +154,17 @@ def build_ball(
     so the 1-skeleton is bipartite and adjacent vertices lie at distances
     differing by exactly 1: each in-ball edge of a vertex at the radius was
     deduced from its inner end, and the rest of its row is None without a
-    probe.  The engine names 1 + #edges cosets in all."""
+    probe.  The engine splits 1 + #edges cosets in all."""
     engine = engine_for(model, graph)
     ball = CubeBall(model, graph, radius, engine)
-    walks, inv_place = [], []            # per vertex w: the walk at r_w, p_w^-1
-
-    def add(walk, key, y, d, e):
-        rep, x, walk = engine.walk_split(walk, key, y)       # b y = rep x
-        walks.append(walk)
-        inv_place.append(model.mul(x, model.inv(y)))
-        return ball._add_vertex(rep, d, key, e)
-
-    add(engine.identity(), *engine.coset_name(engine.identity()), 0, 0)
+    ball._add_vertex(engine.coset_rep(engine.identity()), 0, 0)
     # radius 1 alone holds 1 + degree vertices: fail before listing the probes
     if radius >= 1 and 1 + cayley_abels_degree(model, graph) > vertex_cap:
         raise ResourceCap(f"vertex budget {vertex_cap} exhausted at radius 1")
     letters = [(u, t, sign) for t in graph.vertices for sign in (1, -1)
                for u in model.left_transversal(1 if sign == 1 else 0)]
-    # walks grows while it is walked: the walk is the BFS
-    for vid, here in enumerate(walks):
+    # vertex_reps grows while it is read: it is the BFS queue
+    for vid, here in enumerate(ball.vertex_reps):
         d = ball.dist[vid]
         row = ball.table[vid]
         if d == radius:
@@ -184,14 +174,13 @@ def build_ball(
         for u, t, sign in letters:
             if (u, t, sign) in row:
                 continue
-            walk = engine.walk_token(engine.walk_token(here, u_token(u)), gen_token(t, sign))
-            key, y = engine.coset_name(walk)
-            wid = ball.vertex_ids.get(key)
+            probe = engine.mul_token(engine.mul_token(here, u_token(u)), gen_token(t, sign))
+            rep, x = engine.coset_split(probe)
+            wid = ball.vertex_ids.get(rep)
             if wid is None:
                 if ball.n_vertices >= vertex_cap:
                     raise ResourceCap(f"vertex budget {vertex_cap} exhausted at radius {d + 1}")
-                wid = add(walk, key, y, d + 1, ball.exponent[vid] + sign)
-            x = model.mul(inv_place[wid], y)
+                wid = ball._add_vertex(rep, d + 1, ball.exponent[vid] + sign)
             row[u, t, sign] = (wid, x)
             back, c = model.left_split(x, -sign)
             reverse = ball.table[wid]

@@ -55,12 +55,10 @@ def parse_tokens(model: BaseModel, g: Graph, text: str) -> tuple[Token, ...]:
     return tuple(out)
 
 
-def invert_token(model: BaseModel, t: Token) -> Token:
-    return u_token(model.inv(t[1])) if t[0] == "u" else gen_token(t[1], -t[2])
-
-
 def invert_tokens(model: BaseModel, toks) -> tuple[Token, ...]:
-    return tuple(invert_token(model, t) for t in reversed(toks))
+    return tuple(
+        u_token(model.inv(t[1])) if t[0] == "u" else gen_token(t[1], -t[2]) for t in reversed(toks)
+    )
 
 
 class NormalSequence(NamedTuple):
@@ -164,14 +162,14 @@ class Engine:
     into sortable data and two elements are equal in the group iff their
     keys agree.  ``coset_split`` splits an element of the left U-coset gU,
     the vertex set of the coset cube complex, into the coset's canonical
-    representative and a U-remainder; ``coset_key`` names gU, and two
-    elements get one name iff they lie in one coset.
+    representative and a U-remainder; the representative (``coset_rep``)
+    names gU, and two elements get one name iff they lie in one coset.
 
     Each engine supplies the primitives ``identity``, ``mul_token``,
     ``tokens``, ``key``, ``coset_split``, ``apartment_key`` and ``format``;
     the group operations below derive from them.  An engine may override a
     derived method with a cheaper computation on its own representation
-    that returns the same element, or names the same coset.
+    that returns the same element.
     """
 
     regime = "abstract"
@@ -237,24 +235,6 @@ class Engine:
 
     def coset_rep(self, a):
         return self.coset_split(a)[0]
-
-    def coset_key(self, a):
-        return self.coset_rep(a)
-
-    # Walks name the cosets of right multiples in the ball BFS: a walk stands
-    # for an element, moves by right tokens, and the identity is its own walk.
-    def walk_token(self, walk, token):
-        return self.mul_token(walk, token)
-
-    def coset_name(self, walk):
-        """(key, y) with g = b y for the walk's element g: key names gU and fixes b.
-        Here the walk is g, and both key and b are its coset's representative."""
-        return self.coset_split(walk)
-
-    def walk_split(self, walk, key, y):
-        """(rep, x, walk at rep) with (rep, x) the coset_split of the walk's
-        element and (key, y) its coset_name."""
-        return key, y, key
 
 
 class AutomorphicEngine(Engine):
@@ -358,22 +338,6 @@ class AutomorphicEngine(Engine):
         for block, _ in a.tail:
             out = self._multiply(self.graph, out, block) if out else block
         return out
-
-    # A walk at g is the normal sequence of g^-1, where g * token is one
-    # letter acting on the left.  U acting on the left changes only the head,
-    # so the tail (hashable) names gU, and g = (1, tail)^-1 * head^-1.
-    def coset_key(self, a):
-        return self.inv(a).tail
-
-    def walk_token(self, walk, token):
-        return act_letter(self.model, self.graph, invert_token(self.model, token), walk)
-
-    def coset_name(self, walk):
-        return walk.tail, self.model.inv(walk.head)
-
-    def walk_split(self, walk, key, y):
-        rep, x = self.coset_split(self.inv(walk))
-        return rep, x, NormalSequence(self.model.mul(x, walk.head), walk.tail)
 
 
 def verify_relations(model: BaseModel, graph: Graph, samples=None) -> dict:

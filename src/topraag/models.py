@@ -23,9 +23,11 @@ import json
 import math
 from fractions import Fraction
 
-from .errors import ModelError, NotInDomain, NotShrinkingModel
+from .errors import ModelError, NotInDomain, NotShrinkingModel, ResourceCap
 
 INFINITE = math.inf
+# a finite model lists U and O element by element and keys its tables by them
+MAX_GROUP_ORDER = 100_000
 
 Perm = tuple[int, ...]
 
@@ -62,6 +64,8 @@ def _closure(generators, mul, identity):
         for g in generators:
             y = mul(x, g)
             if y not in elems:
+                if len(elems) >= MAX_GROUP_ORDER:
+                    raise ResourceCap(f"finite model group exceeds {MAX_GROUP_ORDER} elements")
                 elems.add(y)
                 frontier.append(y)
     return elems

@@ -22,6 +22,8 @@ characteristics check homology against cell counts.
 
 ``least_key_coset_split`` is the automorphic engine's coset split by search:
 the least key over all of ``aU``, one right action by each element of U.
+``inverse_tail_key`` names ``aU`` another way, by the tail of the normal
+sequence of ``a^-1``: U acting on the left of ``a^-1`` changes only its head.
 
 ``bs_word_reduce`` / ``bs_words_equal`` decide equality in BS(1, m) by
 pinch-only Britton reduction, ``britton_is_pinch_free`` checks the output of
@@ -32,7 +34,7 @@ form when phi is the identity on O, independent of the rewriting engine.
 from fractions import Fraction
 
 from topraag import words as W
-from topraag.elements import invert_tokens, u_token
+from topraag.elements import invert_tokens, to_normal_sequence, u_token
 from topraag.errors import NonClosedComplex, RegimeMismatch, WordLengthCap
 from topraag.homology import ChainComplex, SparseMatrix
 
@@ -274,6 +276,14 @@ def least_key_coset_split(engine, a) -> tuple:
     cands = ((engine.mul_token(a, u_token(u)), u) for u in sorted(model.U))
     rep, u = min(cands, key=lambda c: engine.key(c[0]))
     return rep, model.inv(u)
+
+
+def inverse_tail_key(engine, a) -> tuple:
+    """Oracle: a name of the coset aU in the automorphic regime, the tail of
+    a^-1 = (a^-1)_head (1; tail), folded from a's tokens by the reference
+    left fold; two elements share it iff they lie in one coset."""
+    model = engine.model
+    return to_normal_sequence(model, engine.graph, invert_tokens(model, engine.tokens(a))).tail
 
 
 def rank_over_Q(matrix) -> int:

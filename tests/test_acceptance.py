@@ -170,7 +170,7 @@ def test_criterion_04_pocket_dichotomy():
     pockets = detect_pockets(ball)
     engine = ball.engine
     base_square = frozenset(
-        ball.vertex_ids[engine.coset_key(engine.from_tokens(t))]
+        ball.vertex_ids[engine.coset_rep(engine.from_tokens(t))]
         for t in [
             (),
             (gen_token("s", 1),),
@@ -179,7 +179,7 @@ def test_criterion_04_pocket_dichotomy():
         ]
     )
     doubled = frozenset(
-        ball.vertex_ids[engine.coset_key(engine.from_tokens((u_token(2),) + t))]
+        ball.vertex_ids[engine.coset_rep(engine.from_tokens((u_token(2),) + t))]
         for t in [
             (),
             (gen_token("s", 1),),

@@ -195,7 +195,7 @@ def test_tree_engine_group_ops():
         # coset keys constant along right U-translates
         u = rng.choice(sorted(m.U))
         y = eng.mul_token(x, u_token(u))
-        assert eng.coset_key(x) == eng.coset_key(y)
+        assert eng.coset_rep(x) == eng.coset_rep(y)
 
 
 def test_tree_engine_rejects_edges():

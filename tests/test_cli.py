@@ -284,6 +284,18 @@ def test_verify_honours_cube_cap(capsys):
     assert capsys.readouterr().err == "error: cube budget 5 exhausted\n"
 
 
+def test_build_caps_the_model_group(tmp_path, capsys):
+    # S9 has 362,880 elements: the model fails to load before any ball work
+    model = tmp_path / "s9.json"
+    model.write_text(json.dumps({
+        "kind": "finite", "degree": 9, "O_gens": [], "phi_images": [],
+        "U_gens": [[1, 0, 2, 3, 4, 5, 6, 7, 8], [1, 2, 3, 4, 5, 6, 7, 8, 0]],
+    }))
+    code = run_cli(["build", "--graph", CONFIGS / "edge.json", "--model", model, "--radius", "1"])
+    assert code == 1
+    assert capsys.readouterr().err == "error: finite model group exceeds 100000 elements\n"
+
+
 VALLEY_COMMANDS = pytest.mark.parametrize(
     "command",
     [["homology", "--valley", "0"], ["verify", "--suite", "valleys", "--latitude", "0"]],

@@ -7,7 +7,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from oracles import cube_faces, least_key_coset_split, skeleton_neighbours
+from oracles import cube_faces, inverse_tail_key, least_key_coset_split, skeleton_neighbours
 from test_engine_contract import F20, S3_O2, S4_S3
 from topraag import words as W
 from topraag.errors import EmptyWindow, InfiniteStabiliser, NoInteriorVertices, ResourceCap
@@ -31,7 +31,9 @@ from topraag.models import (
     perm_from_cycles,
     s3_a3_model,
 )
-from topraag.elements import AutomorphicEngine, Engine, engine_for, gen_token, u_token
+from topraag.britton import TreeEngine
+from topraag.elements import AutomorphicEngine, engine_for, gen_token, u_token
+from topraag.semidirect import SemidirectEngine
 from topraag.complexes import (
     Cube,
     CubeBall,
@@ -166,7 +168,7 @@ def test_cube_transitivity_spot_check():
                     if (mask >> i) & 1:
                         corner = engine.mul_token(corner, gen_token(t, 1))
                 translated = engine.mul(ball.cube_element(cube), corner)
-                assert ball.vertex_ids[engine.coset_key(translated)] == cube.corners[mask]
+                assert ball.vertex_ids[engine.coset_rep(translated)] == cube.corners[mask]
 
 
 def test_exponent_on_ball_vertices():
@@ -343,7 +345,7 @@ def _plain_trace(ball):
     def fixed_cells(n):
         fixed_v = {
             w for w in verts
-            if engine.coset_key(engine.mul(n, seen[w])) == engine.coset_key(seen[w])
+            if engine.coset_rep(engine.mul(n, seen[w])) == engine.coset_rep(seen[w])
         }
         fixed_c = [
             (b, ctype, cid) for b, ctype, cid in cubes
@@ -382,11 +384,11 @@ def _engine_walk_ball(model, graph, radius):
     """The ball as built before the coset table: a BFS that keeps no edges,
     and every cube of every vertex x clique x transversal rep with its
     corners multiplied out through the engine and looked up by their coset
-    keys.  Returns the ball and the defining element of each cube."""
+    representatives.  Returns the ball and the defining element of each cube."""
     engine = engine_for(model, graph)
     ball = CubeBall(model, graph, radius, engine)
     root = engine.coset_rep(engine.identity())
-    ball._add_vertex(root, 0, engine.coset_key(root), engine.exponent(root))
+    ball._add_vertex(root, 0, engine.exponent(root))
     frontier = [0]
     for d in range(radius):
         nxt = []
@@ -396,9 +398,8 @@ def _engine_walk_ball(model, graph, radius):
                     for u in model.left_transversal(1 if sign == 1 else 0):
                         nb = engine.mul_token(ball.vertex_reps[vid], u_token(u))
                         nb = engine.coset_rep(engine.mul_token(nb, gen_token(t, sign)))
-                        key = engine.coset_key(nb)
-                        if key not in ball.vertex_ids:
-                            nxt.append(ball._add_vertex(nb, d + 1, key, engine.exponent(nb)))
+                        if nb not in ball.vertex_ids:
+                            nxt.append(ball._add_vertex(nb, d + 1, engine.exponent(nb)))
         frontier = nxt
     elements = list(ball.vertex_reps)
     for vid in range(ball.n_vertices):
@@ -428,30 +429,23 @@ def _engine_walk_ball(model, graph, radius):
 
 def _probed_table_ball(model, graph, radius):
     """The vertices and coset table of the ball as built before deduction:
-    the same walks, but every letter probed from every vertex, boundary
-    vertices included; no cubes."""
+    the same probes r_v u t^sign = r_w x, split by the engine, but every
+    letter probed from every vertex, boundary vertices included; no cubes."""
     engine = engine_for(model, graph)
     ball = CubeBall(model, graph, radius, engine)
-    walks, inv_place = [], []
-
-    def add(walk, key, y, d):
-        rep, x, walk = engine.walk_split(walk, key, y)
-        walks.append(walk)
-        inv_place.append(model.mul(x, model.inv(y)))
-        return ball._add_vertex(rep, d, key, engine.exponent(rep))
-
-    add(engine.identity(), *engine.coset_name(engine.identity()), 0)
+    root = engine.coset_rep(engine.identity())
+    ball._add_vertex(root, 0, engine.exponent(root))
     letters = [(u, t, sign) for t in graph.vertices for sign in (1, -1)
                for u in model.left_transversal(1 if sign == 1 else 0)]
-    for vid, here in enumerate(walks):
+    for vid, here in enumerate(ball.vertex_reps):
         d = ball.dist[vid]
         for u, t, sign in letters:
-            walk = engine.walk_token(engine.walk_token(here, u_token(u)), gen_token(t, sign))
-            key, y = engine.coset_name(walk)
-            wid = ball.vertex_ids.get(key)
+            probe = engine.mul_token(engine.mul_token(here, u_token(u)), gen_token(t, sign))
+            rep, x = engine.coset_split(probe)
+            wid = ball.vertex_ids.get(rep)
             if wid is None and d < radius:
-                wid = add(walk, key, y, d + 1)
-            ball.table[vid][u, t, sign] = wid if wid is None else (wid, model.mul(inv_place[wid], y))
+                wid = ball._add_vertex(rep, d + 1, engine.exponent(rep))
+            ball.table[vid][u, t, sign] = wid if wid is None else (wid, x)
     return ball
 
 
@@ -472,8 +466,8 @@ AUTOMORPHIC_WALK_BALLS = [b for b in WALK_BALLS if b[0].is_automorphic]
 
 @pytest.mark.parametrize("model, graph, radius", AUTOMORPHIC_WALK_BALLS, ids=AUTOMORPHIC_WALK_IDS)
 def test_coset_split_matches_the_least_key_search(model, graph, radius):
-    # at every element r_v u of every vertex coset, coset_split and the
-    # walk's walk_split give the least key over the coset found by search
+    # at every element r_v u of every vertex coset, coset_split gives the
+    # least key over the coset found by search
     ball = build_ball(model, graph, radius)
     eng = ball.engine
     for rep in ball.vertex_reps:
@@ -481,10 +475,6 @@ def test_coset_split_matches_the_least_key_search(model, graph, radius):
             a = eng.mul_token(rep, u_token(u))
             expected = least_key_coset_split(eng, a)
             assert eng.coset_split(a) == expected
-            walk = eng.identity()
-            for tok in eng.tokens(a):
-                walk = eng.walk_token(walk, tok)
-            assert eng.walk_split(walk, *eng.coset_name(walk))[:2] == expected
 
 
 @pytest.mark.parametrize("model, graph, radius", WALK_BALLS, ids=WALK_IDS)
@@ -582,12 +572,12 @@ def test_cubes_grow_from_faces(monkeypatch):
 )
 def test_ball_names_one_coset_per_edge(monkeypatch, model, graph, radius, probes):
     calls = []
-    for cls in (Engine, AutomorphicEngine):
-        def counted(self, walk, name=cls.coset_name):
+    for cls in (AutomorphicEngine, SemidirectEngine, TreeEngine):
+        def counted(self, a, split=cls.coset_split):
             calls.append(None)
-            return name(self, walk)
+            return split(self, a)
 
-        monkeypatch.setattr(cls, "coset_name", counted)
+        monkeypatch.setattr(cls, "coset_split", counted)
     ball = build_ball(model, graph, radius)
     ends = sum(entry is not None for row in ball.table for entry in row.values())
     assert ends % 2 == 0
@@ -613,13 +603,14 @@ def test_vertex_id_of_names_automorphic_cosets(model, graph, radius):
     ball = build_ball(model, graph, radius)
     engine = ball.engine
     assert engine.regime == "automorphic"
-    # oracle: look the coset up by its representative's key
-    by_rep = {engine.key(rep): v for v, rep in enumerate(ball.vertex_reps)}
+    # oracle: look the coset up by the tail of the inverse, a second naming
+    # that shares no code with coset_rep
+    by_tail = {inverse_tail_key(engine, rep): v for v, rep in enumerate(ball.vertex_reps)}
+    assert len(by_tail) == ball.n_vertices
 
     def oracle(g):
-        return by_rep.get(engine.key(engine.coset_rep(g)))
+        return by_tail.get(inverse_tail_key(engine, g))
 
-    assert len({engine.coset_key(rep) for rep in ball.vertex_reps}) == ball.n_vertices
     us = sorted(model.U)
     outside = 0
     for v, rep in enumerate(ball.vertex_reps):
@@ -761,7 +752,7 @@ def test_pockets_shift_edge():
     # 2 = s 1 s^-1 share exactly the two base edges
     engine = ball.engine
     base_square_corners = {
-        engine.coset_key(engine.from_tokens(toks))
+        engine.coset_rep(engine.from_tokens(toks))
         for toks in [
             (),
             (gen_token("s", 1),),
@@ -774,7 +765,7 @@ def test_pockets_shift_edge():
         toks=(u_token(2), gen_token("s", 1), gen_token("t", 1)),
     )
     moved = engine.from_tokens(twisted["toks"])
-    moved_id = ball.vertex_ids[engine.coset_key(moved)]
+    moved_id = ball.vertex_ids[engine.coset_rep(moved)]
     expected_pair = False
     for a, b, shared in pockets:
         sets = {frozenset(a.corners), frozenset(b.corners)}

@@ -1,8 +1,9 @@
 """The element contract of ``Engine``: every engine's token spelling round-trips
 through ``from_tokens``, every derived operation an engine overrides agrees
-with the base derivation from the primitives, ``coset_split`` splits an
-element into its coset's representative and a U-remainder, and ``coset_key``
-and the BFS walk's ``coset_name`` name cosets as the representatives do.
+with the base derivation from the primitives, and ``coset_split`` splits an
+element into its coset's representative and a U-remainder; in the
+automorphic regime two elements share a representative iff they share the
+inverse-tail name (``oracles.inverse_tail_key``).
 Also the model's ``left_split``, which moves a U-element past a generator, the
 finite model's arithmetic tables against plain permutation arithmetic, and the
 rejection of U values outside U by every model and engine."""
@@ -13,6 +14,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from oracles import inverse_tail_key
 
 from topraag import words as W
 from topraag.complexes import build_ball, nerve_graph
@@ -89,10 +91,7 @@ IDS = [
 ]
 
 PRIMITIVES = ("identity", "mul_token", "tokens", "key", "coset_split", "apartment_key", "format")
-DERIVED = (
-    "from_tokens", "mul", "inv", "exponent", "a_part", "n_part", "coset_rep", "coset_key",
-    "walk_token", "coset_name", "walk_split",
-)
+DERIVED = ("from_tokens", "mul", "inv", "exponent", "a_part", "n_part", "coset_rep")
 
 
 def u_samples(model):
@@ -169,24 +168,13 @@ def test_engine_contract(regime, model, graph):
         rep, u = eng.coset_split(a)
         assert eng.mul(rep, eng.from_tokens((u_token(u),))) == a
         assert eng.coset_split(rep)[1] == model.identity()
-        assert eng.coset_rep(eng.mul_token(a, u_token(rng.choice(u_samples(model))))) == rep
-        # the walk at a, from the identity's walk by a's tokens; it names aU
-        # as coset_key does, with a = b y for b fixed by the key
-        walk = ident
-        for tok in eng.tokens(a):
-            walk = eng.walk_token(walk, tok)
-        key, y = eng.coset_name(walk)
-        assert key == eng.coset_key(a)
-        assert eng.walk_split(walk, key, y)[:2] == (rep, u)
-        rep_key, rep_y = eng.coset_name(eng.walk_split(walk, key, y)[2])
-        assert rep_key == key and model.mul(model.inv(rep_y), y) == u
         for w in u_samples(model):
             aw = eng.mul_token(a, u_token(w))
-            assert eng.coset_key(aw) == key
-            assert model.mul(model.inv(y), eng.coset_name(eng.walk_token(walk, u_token(w)))[1]) == w
-    # coset keys partition the elements as the base derivation's keys do
-    named = {(eng.coset_key(a), Engine.coset_key(eng, a)) for a in elems}
-    assert len(named) == len({k for k, _ in named}) == len({r for _, r in named})
+            assert eng.coset_split(aw) == (rep, model.mul(u, w))
+    # representatives partition the elements as the inverse tails do
+    if regime == "automorphic":
+        named = {(eng.coset_rep(a), inverse_tail_key(eng, a)) for a in elems}
+        assert len(named) == len({r for r, _ in named}) == len({k for _, k in named})
     # U elements are spelled by U tokens that fold back to them; a generator's
     # spelling has a generator token
     for u in u_samples(model):
@@ -212,8 +200,6 @@ def test_engine_rejects_malformed_letters(regime, model, graph):
                 with pytest.raises(UnknownGenerator):
                     eng.mul_token(a, bad)
                 with pytest.raises(UnknownGenerator):
-                    eng.walk_token(a, bad)
-                with pytest.raises(UnknownGenerator):
                     eng.from_tokens((gen_token(v, 1), bad))
 
 
@@ -233,8 +219,6 @@ def test_engine_rejects_u_tokens_outside_U(regime, model, graph):
             for bad in outside_U(model):
                 with pytest.raises(NotInDomain):
                     eng.mul_token(a, u_token(bad))
-                with pytest.raises(NotInDomain):
-                    eng.walk_token(a, u_token(bad))
                 with pytest.raises(NotInDomain):
                     eng.from_tokens((gen_token(v, 1), u_token(bad)))
 
@@ -345,7 +329,7 @@ def test_nerve_inverts_each_block_once(monkeypatch):
 def test_engines_keep_only_cheaper_overrides():
     kept = {eng.regime: overrides(eng) for eng in (engine_for(m, g) for _, m, g in CASES)}
     assert kept == {
-        "automorphic": ["mul", "inv", "a_part", "coset_key", "walk_token", "coset_name", "walk_split"],
+        "automorphic": ["mul", "inv", "a_part"],
         "semidirect": ["mul", "inv", "a_part", "n_part"],
         "tree": [],
     }

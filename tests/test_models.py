@@ -5,7 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from topraag.errors import ModelError, NotInDomain, NotShrinkingModel
+from topraag import models
+from topraag.errors import ModelError, NotInDomain, NotShrinkingModel, ResourceCap
 from test_engine_contract import F20
 from topraag.models import (
     BaseModel,
@@ -292,6 +293,27 @@ def test_model_from_config():
         model_from_config({"kind": "nope"})
     with pytest.raises(ModelError):
         model_from_config({"kind": "shift", "m": 1})
+
+
+# S9 = <(0 1), (0 1 ... 8)> has 362,880 elements
+S9_CONFIG = {
+    "kind": "finite",
+    "degree": 9,
+    "U_gens": [[1, 0, 2, 3, 4, 5, 6, 7, 8], [1, 2, 3, 4, 5, 6, 7, 8, 0]],
+    "O_gens": [],
+    "phi_images": [],
+}
+
+
+def test_group_closure_is_capped(monkeypatch):
+    with pytest.raises(ResourceCap, match="^finite model group exceeds 100000 elements$"):
+        model_from_config(S9_CONFIG)
+    # the cap counts elements: a group of exactly the cap loads, one more raises
+    monkeypatch.setattr(models, "MAX_GROUP_ORDER", 6)
+    assert len(model_from_config(S3A3.to_json()).U) == 6
+    monkeypatch.setattr(models, "MAX_GROUP_ORDER", 5)
+    with pytest.raises(ResourceCap, match="^finite model group exceeds 5 elements$"):
+        model_from_config(S3A3.to_json())
 
 
 def test_parse_format_tokens():
