@@ -15,7 +15,9 @@ from . import __version__
 from .errors import ConfigError, RegimeMismatch, ToolkitError
 from .graphs import cliques, graph_from_json
 from .models import model_from_json
-from .complexes import build_ball, cayley_abels_degree, export_ball
+from .complexes import (
+    DEFAULT_CUBE_CAP, DEFAULT_VERTEX_CAP, build_ball, cayley_abels_degree, export_ball,
+)
 from .homology import homology_of_cells, valley_homology_report
 from . import verification
 
@@ -108,8 +110,11 @@ def cmd_verify(args) -> int:
 def cmd_homology(args) -> int:
     if args.valley is not None:
         _require(args, "graph")
+        graph = _load(graph_from_json, args.graph)
+        if args.model:   # a valley window needs no model, but a bad one is an error
+            _load(model_from_json, args.model)
         report = valley_homology_report(
-            _load(graph_from_json, args.graph), args.valley, args.window,
+            graph, args.valley, args.window,
             vertex_cap=args.cap_vertices, cube_cap=args.cap_cubes,
         )
         report["command"] = "homology"
@@ -146,8 +151,8 @@ def make_parser() -> argparse.ArgumentParser:
         sp.add_argument("--model", help="model JSON file")
         sp.add_argument("--radius", type=int, default=2)
         sp.add_argument("--out", help="write the report/export here")
-        sp.add_argument("--cap-vertices", type=int, default=1_000_000)
-        sp.add_argument("--cap-cubes", type=int, default=10_000_000)
+        sp.add_argument("--cap-vertices", type=int, default=DEFAULT_VERTEX_CAP)
+        sp.add_argument("--cap-cubes", type=int, default=DEFAULT_CUBE_CAP)
 
     b = sub.add_parser("build", help="build a ball of the coset cube complex")
     common(b)

@@ -93,34 +93,6 @@ class CubeBall:
     def cells_for_homology(self):
         return [(c.dim, c.ctype, c.corners) for c in self.cubes]
 
-    def to_json(self) -> dict:
-        return {
-            "vertices": [
-                {
-                    "id": v,
-                    "rep": self.engine.format(self.vertex_reps[v]),
-                    "exp": self.exponent[v],
-                    "dist": self.dist[v],
-                }
-                for v in range(self.n_vertices)
-            ],
-            "cubes": [
-                {
-                    "dim": c.dim,
-                    "type": list(c.ctype),
-                    "verts": sorted(c.corners),
-                    "min_corner": c.corners[0],
-                }
-                for c in self.cubes
-            ],
-            "meta": {
-                "model": self.model.to_json(),
-                "graph": self.graph.to_json(),
-                "radius": self.radius,
-                "regime": self.engine.regime,
-            },
-        }
-
 
 def cayley_abels_degree(model: BaseModel, graph: Graph):
     """Vertex degree of the 1-skeleton: sum over generators of
@@ -657,31 +629,38 @@ _CUBE_RECORD = '{\n      "dim": %d,\n      "min_corner": %d,\n      "type": %s,\
 
 
 def _json_list(items, indent):
-    """A JSON list of already encoded items as json.dumps(indent=2) lays it
-    out with its items at the given indent."""
-    items = list(items)
-    if not items:
-        return "[]"
+    """Chunks of the JSON list of already encoded items, laid out as
+    json.dumps(indent=2) lays it out with its items at the given indent."""
     pad = "\n" + " " * indent
-    return "[" + pad + ("," + pad).join(items) + "\n" + " " * (indent - 2) + "]"
+    opened = False
+    for item in items:
+        yield ("," if opened else "[") + pad + item
+        opened = True
+    yield "\n" + " " * (indent - 2) + "]" if opened else "[]"
 
 
 def export_ball(ball: CubeBall, path):
-    """Write json.dumps(ball.to_json(), indent=2, sort_keys=True) and a
-    newline, byte for byte, one record at a time: json.dumps with indent runs
-    the pure-Python encoder, so it encodes only the strings and the small
-    meta block here."""
-    data = ball.to_json()
-    vertices = [
-        _VERTEX_RECORD % (v["dist"], v["exp"], v["id"], json.dumps(v["rep"]))
-        for v in data["vertices"]
-    ]
-    cubes = [
-        _CUBE_RECORD % (c["dim"], c["min_corner"], _json_list(map(json.dumps, c["type"]), 8),
-                        _json_list(map(str, c["verts"]), 8))
-        for c in data["cubes"]
-    ]
-    meta = json.dumps(data["meta"], indent=2, sort_keys=True).replace("\n", "\n  ")
+    """Write the ball's vertex and cube records and its meta block, laid out
+    byte for byte as json.dumps(indent=2, sort_keys=True) and a newline lay
+    out the same data, one record at a time from the ball's lists: json.dumps
+    with indent runs the pure-Python encoder, so it encodes only the strings
+    and the small meta block here."""
+    fmt = ball.engine.format
+    vertices = (
+        _VERTEX_RECORD % (d, e, v, json.dumps(fmt(rep)))
+        for v, (rep, d, e) in enumerate(zip(ball.vertex_reps, ball.dist, ball.exponent))
+    )
+    cubes = (
+        _CUBE_RECORD % (c.dim, c.corners[0], "".join(_json_list(map(json.dumps, c.ctype), 8)),
+                        "".join(_json_list(map(str, sorted(c.corners)), 8)))
+        for c in ball.cubes
+    )
+    meta = {"model": ball.model.to_json(), "graph": ball.graph.to_json(),
+            "radius": ball.radius, "regime": ball.engine.regime}
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write('{\n  "cubes": %s,\n  "meta": %s,\n  "vertices": %s\n}\n'
-                 % (_json_list(cubes, 4), meta, _json_list(vertices, 4)))
+        fh.write('{\n  "cubes": ')
+        fh.writelines(_json_list(cubes, 4))
+        fh.write(',\n  "meta": %s,\n  "vertices": '
+                 % json.dumps(meta, indent=2, sort_keys=True).replace("\n", "\n  "))
+        fh.writelines(_json_list(vertices, 4))
+        fh.write("\n}\n")

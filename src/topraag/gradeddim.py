@@ -10,6 +10,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .errors import ResourceCap
+
+# sb_homology stores one entry per degree 1..n, about 170 bytes each
+MAX_SB_DEGREE = 1_000_000
+
 
 class _Marker:
     def __init__(self, name):
@@ -146,6 +151,8 @@ def sb_homology(n: int) -> GradedDim:
     degrees 1..n are genuinely undetermined at this level."""
     if n < 0:
         raise ValueError("n must be >= 0")
+    if n > MAX_SB_DEGREE:
+        raise ResourceCap(f"sb homology degree {n} exceeds {MAX_SB_DEGREE}")
     dims = {0: 1, n + 1: INF}
     for d in range(1, n + 1):
         dims[d] = UNKNOWN

@@ -16,6 +16,10 @@ agree with this one on every complex that topraag produces.
 bitmasks, and ``skeleton_neighbours`` reads the 1-skeleton of a ball from
 its 1-cubes; the ball itself keeps neither.
 
+``ball_json`` is the export of a ball as a dict: ``build --out`` writes
+the bytes of ``json.dumps(ball_json(ball), indent=2, sort_keys=True)`` and a
+newline, record by record, without building it.
+
 ``rank_over_Q`` (fraction elimination) and ``rank_mod2`` (bitmask
 elimination) check the ranks of the Smith normal form; the two Euler
 characteristics check homology against cell counts.
@@ -169,6 +173,27 @@ def skeleton_neighbours(ball) -> list[set]:
             out[a].add(b)
             out[b].add(a)
     return out
+
+
+def ball_json(ball) -> dict:
+    """The ball's vertices, cubes and meta block as the export lays them out."""
+    return {
+        "vertices": [
+            {"id": v, "rep": ball.engine.format(rep), "exp": e, "dist": d}
+            for v, (rep, d, e) in enumerate(zip(ball.vertex_reps, ball.dist, ball.exponent))
+        ],
+        "cubes": [
+            {"dim": c.dim, "type": list(c.ctype), "verts": sorted(c.corners),
+             "min_corner": c.corners[0]}
+            for c in ball.cubes
+        ],
+        "meta": {
+            "model": ball.model.to_json(),
+            "graph": ball.graph.to_json(),
+            "radius": ball.radius,
+            "regime": ball.engine.regime,
+        },
+    }
 
 
 def shuffle_class(g, w, cap: int = 200_000) -> set:

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from topraag.cli import main
+from topraag.gradeddim import MAX_SB_DEGREE
 
 ROOT = Path(__file__).resolve().parent.parent
 CONFIGS = ROOT / "configs"
@@ -319,6 +320,15 @@ def test_valley_honours_cube_cap(capsys, command):
     assert capsys.readouterr().err == "error: valley window cube budget 5 exhausted\n"
 
 
+@VALLEY_COMMANDS
+def test_valley_checks_a_given_model(tmp_path, capsys, command):
+    # a valley window needs no model, but a --model that fails to load is an error
+    missing = tmp_path / "missing.json"
+    code = run_cli(command + ["--graph", CONFIGS / "c4.json", "--model", missing, "--window", "2"])
+    err = assert_config_error(code, capsys)
+    assert err == f"config error: [Errno 2] No such file or directory: '{missing}'\n"
+
+
 def test_verify_pockets_passes(capsys):
     code = run_cli(
         ["verify", "--suite", "pockets", "--graph", CONFIGS / "edge.json",
@@ -344,6 +354,13 @@ def test_verify_sb(capsys):
     rep = json.loads(capsys.readouterr().out)
     assert rep["pass"]
     assert any("countably infinite" in c["name"] for c in rep["checks"])
+
+
+def test_verify_sb_caps_the_degree(capsys):
+    # the table holds one entry per degree, so a huge --n stops before it is built
+    code = run_cli(["verify", "--suite", "sb", "--n", MAX_SB_DEGREE + 1])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: sb homology degree {MAX_SB_DEGREE + 1} exceeds {MAX_SB_DEGREE}\n"
 
 
 def test_homology_hollow_vs_filled(capsys):

@@ -7,7 +7,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from oracles import cube_faces, inverse_tail_key, least_key_coset_split, skeleton_neighbours
+from oracles import ball_json, cube_faces, inverse_tail_key, least_key_coset_split, skeleton_neighbours
 from test_engine_contract import F20, S3_O2, S4_S3
 from topraag import words as W
 from topraag.errors import EmptyWindow, InfiniteStabiliser, NoInteriorVertices, ResourceCap
@@ -481,7 +481,7 @@ def test_coset_split_matches_the_least_key_search(model, graph, radius):
 def test_coset_table_matches_engine_corner_walk(model, graph, radius):
     ball = build_ball(model, graph, radius)
     ref, elements = _engine_walk_ball(model, graph, radius)
-    assert ball.to_json() == ref.to_json()
+    assert ball_json(ball) == ball_json(ref)
     # the table holds every edge: its targets in the ball are the neighbours
     # along the reference's 1-cubes
     ref_neighbours = skeleton_neighbours(ref)
@@ -917,15 +917,19 @@ def test_export_roundtrip(tmp_path):
 
 @pytest.mark.parametrize(
     "model, graph, radius",
-    TABLE_BALLS + [(SM2, validate_graph({"vertices": ["é", '"b'], "edges": [["é", '"b']]}), 2)],
-    ids=TABLE_IDS + ["shift2-escaped-labels"],
+    WALK_BALLS + [
+        (SM2, validate_graph({"vertices": ["é", '"b'], "edges": [["é", '"b']]}), 2),
+        (S3A3, edgeless_graph(""), 0),
+    ],
+    ids=WALK_IDS + ["shift2-escaped-labels", "s3a3-empty-r0"],
 )
 def test_export_matches_indented_dumps(tmp_path, model, graph, radius):
     # the record-by-record writer against the pure-Python encoder, with
-    # 0-cubes' empty "type" lists and labels that need escaping
+    # 0-cubes' empty "type" lists, labels that need escaping and a
+    # one-vertex ball on the empty graph
     ball = build_ball(model, graph, radius)
     export_ball(ball, tmp_path / "ball.json")
-    expected = json.dumps(ball.to_json(), indent=2, sort_keys=True) + "\n"
+    expected = json.dumps(ball_json(ball), indent=2, sort_keys=True) + "\n"
     assert (tmp_path / "ball.json").read_text(encoding="utf-8") == expected
 
 
