@@ -71,11 +71,6 @@ class CubeBall:
         self.table.append({})
         return vid
 
-    def cube_element(self, cube: Cube):
-        """The element g = r_v c defining the cube, v = cube.corners[0]: its
-        corner of mask S is g t_S U."""
-        return self.engine.mul_token(self.vertex_reps[cube.corners[0]], u_token(cube.rep))
-
     def vertex_id_of(self, elem) -> int | None:
         """Id of the vertex (coset) containing the element, if in the ball."""
         return self.vertex_ids.get(self.engine.coset_rep(elem))
@@ -273,39 +268,36 @@ def _table_step(ball: CubeBall, w, y, t):
 # -- stabilisers -------------------------------------------------------------
 
 def stabiliser_formula_set(ball: CubeBall, cube: Cube):
-    """The set g phi^{|T|}(O) g^{-1} for finite models, with g =
-    ball.cube_element(cube) = r_v c the element defining the cube (another
-    element of the coset r_v U would conjugate wrongly)."""
+    """g phi^{|T|}(O) g^{-1} for finite models in U-coordinates, the u with
+    g u g^{-1} in it, where g = r_v c defines the cube (v = cube.corners[0],
+    c = cube.rep): all of U for a vertex, phi^{|T|}(O) for a positive cube."""
     model = ball.model
     if not hasattr(model, "U"):
         raise InfiniteStabiliser("stabiliser sets need a finite model")
-    engine = ball.engine
-    g = ball.cube_element(cube)
-    # a vertex is stabilised by all of gUg^-1; positive cubes by g phi^k(O) g^-1
-    members = model.U if cube.dim == 0 else model.phi_k_O(cube.dim)
-    g_inv = engine.inv(g)
-    out = set()
-    for w in members:
-        elem = engine.mul(engine.mul_token(g, u_token(w)), g_inv)
-        out.add(engine.key(elem))
-    return out
+    return model.U if cube.dim == 0 else model.phi_k_O(cube.dim)
 
 
 def stabiliser_bruteforce(ball: CubeBall, cube: Cube):
-    """The candidates g u g^{-1}, u in U, that fix every corner of the cube,
-    with g = ball.cube_element(cube).  The corner of the empty mask is gU,
-    whose stabiliser is gUg^{-1}, so this is the whole pointwise stabiliser."""
+    """The u in U with g u g^{-1} fixing every corner g t_S U, g as above:
+    the table walk from (v, c u) reaches cube.corners[mask] for every mask,
+    each one stepped from the mask without its top bit, so a walk leaves the
+    ball only after missing a corner.  The empty mask's corner gU has
+    stabiliser gUg^{-1}, so this is the whole pointwise stabiliser."""
     model = ball.model
     if not hasattr(model, "U"):
         raise InfiniteStabiliser("brute-force stabilisers need a finite model")
-    engine = ball.engine
-    g = ball.cube_element(cube)
-    g_inv = engine.inv(g)
+    corners, ctype = cube.corners, cube.ctype
     out = set()
-    for u in sorted(model.U):
-        n = engine.mul(engine.mul_token(g, u_token(u)), g_inv)
-        if all(_fixes(ball, n, vid) for vid in cube.corners):
-            out.add(engine.key(n))
+    for u in model.U:
+        states = [(corners[0], model.mul(cube.rep, u))]
+        for mask in range(1, len(corners)):
+            top = mask.bit_length() - 1
+            state = _table_step(ball, *states[mask ^ (1 << top)], ctype[top])
+            if state is None or state[0] != corners[mask]:
+                break
+            states.append(state)
+        else:
+            out.add(u)
     return out
 
 
@@ -398,31 +390,33 @@ def base_apartment_trace(ball: CubeBall):
         word: ball.vertex_id_of(engine.from_tokens(tuple(gen_token(g, e) for g, e in word)))
         for word in table
     }
-    cubes = []
-    for word, ctype, corner_ids in _window_cubes(graph, table, verts):
-        cid = ball.cube_ids.get(corner_ids)
-        if cid is not None:
-            cubes.append((word, ctype, cid))
+    # the ball is the full subcomplex on its vertices: it holds every cube
+    cubes = [(word, ctype, ball.cube_ids[corner_ids])
+             for word, ctype, corner_ids in _window_cubes(graph, table, verts)]
     ball.apartment_trace = (verts, cubes)
     return ball.apartment_trace
 
 
-def _fixes(ball: CubeBall, n, vid: int) -> bool:
-    """Whether n fixes the vertex, by acting on its representative."""
-    return ball.vertex_id_of(ball.engine.mul(n, ball.vertex_reps[vid])) == vid
+def trace_names(ball: CubeBall, a):
+    """coset_rep(a r) over the ball representatives r of the trace vertices,
+    in trace order: a^-1 b fixes rU iff a rU = b rU, iff the names agree."""
+    engine = ball.engine
+    verts, _ = base_apartment_trace(ball)
+    return [engine.coset_rep(engine.mul(a, ball.vertex_reps[vid])) for vid in verts.values()]
 
 
-def brute_force_fixed_cells(ball: CubeBall, n):
-    """Cells of the base apartment trace fixed pointwise by n, by direct
-    action on every corner; the oracle side of the trichotomy check."""
+def brute_force_fixed_cells(ball: CubeBall, names_a, names_b):
+    """Cells of the base apartment trace fixed pointwise by a^-1 b, read off
+    the trace names of a and b; the oracle side of the trichotomy check."""
     verts, cubes = base_apartment_trace(ball)
-    fixed_ids = {vid for vid in set(verts.values()) if _fixes(ball, n, vid)}
-    fixed_vertices = {word for word, vid in verts.items() if vid in fixed_ids}
+    fixed_vertices = {word for word, x, y in zip(verts, names_a, names_b) if x == y}
+    fixed_ids = {verts[word] for word in fixed_vertices}
+    # a cube has at least two corners: most pairs fix none and skip the scan
     fixed_cubes = [
         (word, ctype, cid)
         for word, ctype, cid in cubes
         if fixed_ids.issuperset(ball.cubes[cid].corners)
-    ]
+    ] if len(fixed_ids) > 1 else []
     return fixed_vertices, fixed_cubes
 
 
@@ -544,10 +538,10 @@ def check_links(ball: CubeBall):
         raise NoInteriorVertices(
             f"radius {ball.radius} leaves no vertex with a full star"
         )
-    link_reports = []
-    for v in interior:
-        link = vertex_link(ball, v)
-        link_reports.append({"vertex": v, "flag": link.is_flag() if link else True})
+    link_reports = [
+        {"vertex": v, "flag": link.is_flag() if link else True}
+        for v, link in zip(interior, _vertex_links(ball, interior))
+    ]
     face_ok, face_witness = common_face_check(ball)
     return {
         "links": link_reports,
@@ -560,22 +554,24 @@ def check_links(ball: CubeBall):
 def vertex_link(ball: CubeBall, v: int) -> SimplicialComplex | None:
     """Link of a vertex: one (d-1)-simplex per d-cube cornered at v, with the
     incident edges as vertex labels."""
-    simplices = set()
+    return _vertex_links(ball, [v])[0]
+
+
+def _vertex_links(ball: CubeBall, vertices) -> list[SimplicialComplex | None]:
+    """vertex_link of each given vertex, from one pass over the cubes."""
+    simplices = {v: set() for v in vertices}
     for c in ball.cubes:
-        if c.dim == 0 or v not in c.corners:
+        if c.dim == 0:
             continue
-        mask_v = c.corners.index(v)
-        # edges of the cube at v: flip one coordinate of its corner bitmask
-        edge_labels = []
-        for i in range(c.dim):
-            other = c.corners[mask_v ^ (1 << i)]
-            edge_labels.append(frozenset((v, other)))
-        for k in range(1, len(edge_labels) + 1):
-            for combo in itertools.combinations(edge_labels, k):
-                simplices.add(frozenset(combo))
-    if not simplices:
-        return None
-    return SimplicialComplex(frozenset(simplices))
+        for mask_v, v in enumerate(c.corners):
+            found = simplices.get(v)
+            if found is None:
+                continue
+            # edges of the cube at v: flip one coordinate of its corner bitmask
+            edge_labels = [frozenset((v, c.corners[mask_v ^ (1 << i)])) for i in range(c.dim)]
+            for k in range(1, c.dim + 1):
+                found.update(map(frozenset, itertools.combinations(edge_labels, k)))
+    return [SimplicialComplex(frozenset(simplices[v])) if simplices[v] else None for v in vertices]
 
 
 def common_face_check(ball: CubeBall):

@@ -33,6 +33,7 @@ from .complexes import (
     nerve_graph,
     stabiliser_bruteforce,
     stabiliser_formula_set,
+    trace_names,
 )
 from .homology import clique_complex_homology, valley_homology_report
 from .gradeddim import GradedDim, INF, euler_characteristic, hnn_euler, is_q_acyclic, kunneth, sb_homology
@@ -142,11 +143,13 @@ def suite_intersections(ball) -> dict:
     checks = []
     disagree = []
     tags = {"empty": 0, "vertices": 0, "valleys": 0}
+    # the oracle reads the trace names; the classification takes n = w_i^-1 w_j
+    names = [trace_names(ball, w) for w in witnesses]
+    inverses = [engine.inv(w) for w in witnesses]
     for i, j in itertools.combinations(range(len(witnesses)), 2):
-        n = engine.mul(engine.inv(witnesses[i]), witnesses[j])
-        cls = classify_with_engine(engine, n)
+        cls = classify_with_engine(engine, engine.mul(inverses[i], witnesses[j]))
         tags[cls.tag] += 1
-        fixed_vertices, fixed_cubes = brute_force_fixed_cells(ball, n)
+        fixed_vertices, fixed_cubes = brute_force_fixed_cells(ball, names[i], names[j])
         ok = _intersection_matches(ball, cls, fixed_vertices, fixed_cubes)
         if not ok:
             disagree.append({"pair": (i, j), "tag": cls.tag})

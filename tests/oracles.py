@@ -20,6 +20,13 @@ its 1-cubes; the ball itself keeps neither.
 the bytes of ``json.dumps(ball_json(ball), indent=2, sort_keys=True)`` and a
 newline, record by record, without building it.
 
+``cube_element`` multiplies out the element g = r_v c that defines a ball
+cube.  ``stabiliser_by_action`` and ``fixed_cells_by_action`` act with
+engine elements on the ball's vertex representatives: n fixes a vertex iff
+n * rep lies in its coset.  They check the table-walk stabilisers and the
+name-based fixed cells of ``topraag.complexes``.  ``link_by_scan`` builds
+the link of one vertex by a scan over every cube of the ball.
+
 ``rank_over_Q`` (fraction elimination) and ``rank_mod2`` (bitmask
 elimination) check the ranks of the Smith normal form; the two Euler
 characteristics check homology against cell counts.
@@ -37,8 +44,12 @@ form when phi is the identity on O, independent of the rewriting engine.
 
 from fractions import Fraction
 
+import itertools
+
 from topraag import words as W
+from topraag.complexes import base_apartment_trace
 from topraag.elements import invert_tokens, to_normal_sequence, u_token
+from topraag.graphs import SimplicialComplex
 from topraag.errors import NonClosedComplex, RegimeMismatch, WordLengthCap
 from topraag.homology import ChainComplex, SparseMatrix
 
@@ -194,6 +205,59 @@ def ball_json(ball) -> dict:
             "regime": ball.engine.regime,
         },
     }
+
+
+def cube_element(ball, cube):
+    """The element g = r_v c defining the cube, v = cube.corners[0] and
+    c = cube.rep: its corner of mask S is g t_S U."""
+    return ball.engine.mul_token(ball.vertex_reps[cube.corners[0]], u_token(cube.rep))
+
+
+def stabiliser_by_action(ball, cube) -> set:
+    """The u in U whose conjugate g u g^-1, g = cube_element(ball, cube),
+    fixes every corner of the cube by engine action."""
+    engine = ball.engine
+    g = cube_element(ball, cube)
+    g_inv = engine.inv(g)
+    out = set()
+    for u in ball.model.U:
+        n = engine.mul(engine.mul_token(g, u_token(u)), g_inv)
+        if all(ball.vertex_id_of(engine.mul(n, ball.vertex_reps[v])) == v for v in cube.corners):
+            out.add(u)
+    return out
+
+
+def fixed_cells_by_action(ball, n):
+    """The trace vertex words and trace cubes (word, ctype, cube id) of the
+    base apartment fixed pointwise by n, acting on every corner."""
+    verts, cubes = base_apartment_trace(ball)
+    engine = ball.engine
+    fixed_ids = {
+        v for v in set(verts.values())
+        if ball.vertex_id_of(engine.mul(n, ball.vertex_reps[v])) == v
+    }
+    fixed_vertices = {word for word, v in verts.items() if v in fixed_ids}
+    fixed_cubes = [
+        (word, ctype, cid) for word, ctype, cid in cubes
+        if fixed_ids.issuperset(ball.cubes[cid].corners)
+    ]
+    return fixed_vertices, fixed_cubes
+
+
+def link_by_scan(ball, v):
+    """The link of v, one simplex per nonempty set of the edges at v of a
+    positive-dimensional cube cornered at v, scanning every cube; None when
+    there is none."""
+    simplices = set()
+    for c in ball.cubes:
+        if c.dim == 0 or v not in c.corners:
+            continue
+        mask_v = c.corners.index(v)
+        edges = [frozenset((v, c.corners[mask_v ^ (1 << i)])) for i in range(c.dim)]
+        for k in range(1, c.dim + 1):
+            for combo in itertools.combinations(edges, k):
+                simplices.add(frozenset(combo))
+    return SimplicialComplex(frozenset(simplices)) if simplices else None
 
 
 def shuffle_class(g, w, cap: int = 200_000) -> set:

@@ -47,6 +47,7 @@ from topraag.complexes import (
     nerve_graph,
     stabiliser_bruteforce,
     stabiliser_formula_set,
+    trace_names,
 )
 from topraag.verification import random_normal_sequence
 
@@ -132,6 +133,7 @@ def test_criterion_03_intersection_trichotomy():
         ball = build_ball(model, EDGE, radius)
         engine = ball.engine
         witnesses = enumerate_apartments(ball)
+        names = [trace_names(ball, w) for w in witnesses]
         verts, cubes = base_apartment_trace(ball)
         pairs = agree = 0
         tags = set()
@@ -140,7 +142,7 @@ def test_criterion_03_intersection_trichotomy():
             n = engine.mul(engine.inv(witnesses[i]), witnesses[j])
             cls = classify_with_engine(engine, n)
             tags.add(cls.tag)
-            fixed_v, fixed_c = brute_force_fixed_cells(ball, n)
+            fixed_v, fixed_c = brute_force_fixed_cells(ball, names[i], names[j])
             if cls.tag == "empty":
                 ok = not fixed_v and not fixed_c
             elif cls.tag == "vertices":

@@ -7,7 +7,17 @@ from types import SimpleNamespace
 
 import pytest
 
-from oracles import ball_json, cube_faces, inverse_tail_key, least_key_coset_split, skeleton_neighbours
+from oracles import (
+    ball_json,
+    cube_element,
+    cube_faces,
+    fixed_cells_by_action,
+    inverse_tail_key,
+    least_key_coset_split,
+    link_by_scan,
+    skeleton_neighbours,
+    stabiliser_by_action,
+)
 from test_engine_contract import F20, S3_O2, S4_S3
 from topraag import words as W
 from topraag.errors import EmptyWindow, InfiniteStabiliser, NoInteriorVertices, ResourceCap
@@ -34,6 +44,7 @@ from topraag.models import (
 from topraag.britton import TreeEngine
 from topraag.elements import AutomorphicEngine, engine_for, gen_token, u_token
 from topraag.semidirect import SemidirectEngine
+from topraag.verification import suite_intersections, suite_stabilisers
 from topraag.complexes import (
     Cube,
     CubeBall,
@@ -52,10 +63,12 @@ from topraag.complexes import (
     nerve_graph,
     stabiliser_bruteforce,
     stabiliser_formula_set,
+    trace_names,
     valley_cells,
     vertex_link,
     _spans_face,
     _table_step,
+    _vertex_links,
 )
 
 EDGE = edge_graph()
@@ -167,7 +180,7 @@ def test_cube_transitivity_spot_check():
                 for i, t in enumerate(cube.ctype):
                     if (mask >> i) & 1:
                         corner = engine.mul_token(corner, gen_token(t, 1))
-                translated = engine.mul(ball.cube_element(cube), corner)
+                translated = engine.mul(cube_element(ball, cube), corner)
                 assert ball.vertex_ids[engine.coset_rep(translated)] == cube.corners[mask]
 
 
@@ -195,20 +208,16 @@ def test_stabilisers_automorphic():
 def test_stabilisers_trivial_model():
     # U = {1} is the finite model of degree 0: every stabiliser is {1}
     ball = build_ball(TrivialModel(), EDGE, 2)
-    identity = ball.engine.key(ball.engine.identity())
     for cube in ball.cubes:
         brute = stabiliser_bruteforce(ball, cube)
-        assert brute == stabiliser_formula_set(ball, cube) == {identity}
+        assert brute == stabiliser_formula_set(ball, cube) == {()}
 
 
 def test_stabiliser_base_vertex_is_U():
     ball = build_ball(S3A3, EDGE, 1)
     base_cube = ball.cubes[0]
     assert base_cube.dim == 0
-    brute = stabiliser_bruteforce(ball, base_cube)
-    engine = ball.engine
-    expect = {engine.key(engine.from_tokens((u_token(u),))) for u in S3A3.U}
-    assert brute == expect
+    assert stabiliser_bruteforce(ball, base_cube) == set(S3A3.U)
 
 
 def test_stabiliser_infinite_model_raises():
@@ -226,7 +235,7 @@ def test_apartment_assignment_and_cover():
             assert apartment_of_vertex(ball, v) in handles
         # every cube lies in the apartment named by its defining element
         for c in ball.cubes:
-            n = engine.n_part(ball.cube_element(c))
+            n = engine.n_part(cube_element(ball, c))
             assert engine.apartment_key(n) in handles
 
 
@@ -278,11 +287,12 @@ def test_trichotomy_against_bruteforce():
         ball = build_ball(model, EDGE, radius)
         engine = ball.engine
         witnesses = enumerate_apartments(ball)
+        names = [trace_names(ball, w) for w in witnesses]
         verts, cubes = base_apartment_trace(ball)
         for i, j in itertools.combinations(range(len(witnesses)), 2):
             n = engine.mul(engine.inv(witnesses[i]), witnesses[j])
             cls = classify_with_engine(engine, n)
-            fixed_v, fixed_c = brute_force_fixed_cells(ball, n)
+            fixed_v, fixed_c = brute_force_fixed_cells(ball, names[i], names[j])
             if cls.tag == "empty":
                 assert not fixed_v and not fixed_c
             elif cls.tag == "vertices":
@@ -356,15 +366,19 @@ def _plain_trace(ball):
     return verts, cubes, fixed_cells
 
 
+TRACE_BALLS = [
+    (S3A3, EDGE, 2),
+    (SM2, EDGE, 3),
+    (TrivialModel(), cycle_graph("abcd"), 2),
+    # 3-cubes in the trace, grown from their squares
+    (SM2, complete_graph("abc"), 3),
+    (TrivialModel(), complete_graph("abc"), 3),
+]
+TRACE_IDS = ["s3a3-edge", "shift2-edge", "trivial-c4", "shift2-k3", "trivial-k3"]
+
+
 def test_apartment_trace_matches_plain_corner_walk():
-    for model, graph, radius in [
-        (S3A3, EDGE, 2),
-        (SM2, EDGE, 3),
-        (TrivialModel(), cycle_graph("abcd"), 2),
-        # 3-cubes in the trace, grown from their squares
-        (SM2, complete_graph("abc"), 3),
-        (TrivialModel(), complete_graph("abc"), 3),
-    ]:
+    for model, graph, radius in TRACE_BALLS:
         ball = build_ball(model, graph, radius)
         engine = ball.engine
         verts, cubes = base_apartment_trace(ball)
@@ -372,12 +386,26 @@ def test_apartment_trace_matches_plain_corner_walk():
         assert list(verts.items()) == list(ref_verts.items())
         assert cubes == ref_cubes
         witnesses = enumerate_apartments(ball)
+        names = [trace_names(ball, w) for w in witnesses]
         pairs = itertools.combinations_with_replacement(range(len(witnesses)), 2)
         for i, j in pairs:
             n = engine.mul(engine.inv(witnesses[i]), witnesses[j])
-            fixed_v, fixed_c = brute_force_fixed_cells(ball, n)
+            fixed_v, fixed_c = brute_force_fixed_cells(ball, names[i], names[j])
             ref_v, ref_c = ref_fixed_cells(n)
             assert fixed_v == ref_v and fixed_c == ref_c
+
+
+@pytest.mark.parametrize("model, graph, radius", TRACE_BALLS, ids=TRACE_IDS)
+def test_named_fixed_cells_match_the_engine_action(model, graph, radius):
+    # w_i^-1 w_j fixes a trace vertex iff the trace names of w_i and w_j
+    # agree there; the reference acts with w_i^-1 w_j on every corner
+    ball = build_ball(model, graph, radius)
+    engine = ball.engine
+    witnesses = enumerate_apartments(ball)
+    names = [trace_names(ball, w) for w in witnesses]
+    for i, j in itertools.combinations_with_replacement(range(len(witnesses)), 2):
+        n = engine.mul(engine.inv(witnesses[i]), witnesses[j])
+        assert brute_force_fixed_cells(ball, names[i], names[j]) == fixed_cells_by_action(ball, n)
 
 
 def _engine_walk_ball(model, graph, radius):
@@ -462,6 +490,16 @@ WALK_BALLS = TABLE_BALLS + [
 WALK_IDS = TABLE_IDS + ["shift2-k3", "shift3-path3-r3", "f20-edge", "s3-o2-k3", "s4-s3-edge"]
 AUTOMORPHIC_WALK_IDS = [i for i, (m, _, _) in zip(WALK_IDS, WALK_BALLS) if m.is_automorphic]
 AUTOMORPHIC_WALK_BALLS = [b for b in WALK_BALLS if b[0].is_automorphic]
+FINITE_WALK_IDS = [i for i, (m, _, _) in zip(WALK_IDS, WALK_BALLS) if hasattr(m, "U")]
+FINITE_WALK_BALLS = [b for b in WALK_BALLS if hasattr(b[0], "U")]
+
+
+@pytest.mark.parametrize("model, graph, radius", FINITE_WALK_BALLS, ids=FINITE_WALK_IDS)
+def test_table_walk_stabilisers_match_the_engine_action(model, graph, radius):
+    # the table walk from (v, c u) against g u g^-1 acting on every corner
+    ball = build_ball(model, graph, radius)
+    for cube in ball.cubes:
+        assert stabiliser_bruteforce(ball, cube) == stabiliser_by_action(ball, cube)
 
 
 @pytest.mark.parametrize("model, graph, radius", AUTOMORPHIC_WALK_BALLS, ids=AUTOMORPHIC_WALK_IDS)
@@ -489,7 +527,7 @@ def test_coset_table_matches_engine_corner_walk(model, graph, radius):
         assert {entry[0] for entry in row.values() if entry} == ref_neighbours[v]
     key = ball.engine.key
     assert [c.rep for c in ball.cubes] == [c.rep for c in ref.cubes]
-    assert [key(ball.cube_element(c)) for c in ball.cubes] == [key(g) for g in elements]
+    assert [key(cube_element(ball, c)) for c in ball.cubes] == [key(g) for g in elements]
     # every table entry r_v u t^sign = r_w x, and every walk step
     # r_w y t = r_w' y' from any remainder y, holds in the group
     engine = ball.engine
@@ -571,6 +609,16 @@ def test_cubes_grow_from_faces(monkeypatch):
     ids=["shift3-path3", "s3a3-edge", "shift2-edge"],
 )
 def test_ball_names_one_coset_per_edge(monkeypatch, model, graph, radius, probes):
+    calls = _count_coset_splits(monkeypatch)
+    ball = build_ball(model, graph, radius)
+    ends = sum(entry is not None for row in ball.table for entry in row.values())
+    assert ends % 2 == 0
+    # the base vertex, then one probe per edge
+    assert len(calls) == 1 + ends // 2 == probes
+
+
+def _count_coset_splits(monkeypatch):
+    """A list that gains one entry per engine coset_split call."""
     calls = []
     for cls in (AutomorphicEngine, SemidirectEngine, TreeEngine):
         def counted(self, a, split=cls.coset_split):
@@ -578,11 +626,32 @@ def test_ball_names_one_coset_per_edge(monkeypatch, model, graph, radius, probes
             return split(self, a)
 
         monkeypatch.setattr(cls, "coset_split", counted)
-    ball = build_ball(model, graph, radius)
-    ends = sum(entry is not None for row in ball.table for entry in row.values())
-    assert ends % 2 == 0
-    # the base vertex, then one probe per edge
-    assert len(calls) == 1 + ends // 2 == probes
+    return calls
+
+
+def test_stabiliser_suite_splits_no_coset(monkeypatch):
+    # the engine-action oracle split 7,734 cosets on this ball
+    ball = build_ball(S3A3, EDGE, 3)
+    calls = _count_coset_splits(monkeypatch)
+    report = suite_stabilisers(ball)
+    assert report["pass"] and report["meta"] == {"cubes": len(ball.cubes)}
+    assert calls == []
+
+
+@pytest.mark.parametrize(
+    "model, apartments", [(S3A3, 58), (SM2, 11)], ids=["s3a3-edge", "shift2-edge"]
+)
+def test_intersection_suite_names_each_apartment_once(monkeypatch, model, apartments):
+    # one coset split per (apartment, trace vertex); acting with w_i^-1 w_j
+    # split one per (pair, trace vertex): 41,325 and 1,375 on these balls
+    ball = build_ball(model, EDGE, 3)
+    calls = _count_coset_splits(monkeypatch)
+    verts, _ = base_apartment_trace(ball)
+    assert len(calls) == len(verts) == 25
+    calls.clear()
+    report = suite_intersections(ball)
+    assert report["pass"] and report["meta"]["apartments"] == apartments
+    assert len(calls) == apartments * len(verts)
 
 
 def test_deduction_into_a_filled_slot_raises(monkeypatch):
@@ -879,6 +948,20 @@ def test_link_of_interior_vertex_shape():
     link = vertex_link(ball, 0)
     assert link is not None and link.is_flag()
     assert len(link.vertex_set()) == 6
+
+
+@pytest.mark.parametrize("model, graph, radius", TABLE_BALLS, ids=TABLE_IDS)
+def test_links_in_one_pass_match_a_scan_per_vertex(model, graph, radius):
+    ball = build_ball(model, graph, radius)
+    vertices = list(range(ball.n_vertices))
+    expected = [link_by_scan(ball, v) for v in vertices]
+    assert _vertex_links(ball, vertices) == expected
+    assert [vertex_link(ball, v) for v in vertices[:10]] == expected[:10]
+    interior = ball.interior_vertices()
+    if interior:
+        assert check_links(ball)["links"] == [
+            {"vertex": v, "flag": expected[v].is_flag() if expected[v] else True} for v in interior
+        ]
 
 
 def test_nerve_automorphic_chordal():

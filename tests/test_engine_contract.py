@@ -14,7 +14,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from oracles import inverse_tail_key
+from oracles import cube_element, inverse_tail_key
 
 from topraag import words as W
 from topraag.complexes import build_ball, nerve_graph
@@ -282,7 +282,7 @@ def test_memoised_block_arithmetic_matches_the_reference_fold(model, graph):
     nerve_graph(ball)
     eng = ball.engine
     assert eng._blocks and eng._merges
-    elems = list(ball.vertex_reps) + [ball.cube_element(c) for c in ball.cubes]
+    elems = list(ball.vertex_reps) + [cube_element(ball, c) for c in ball.cubes]
     elems += [eng.n_part(a) for a in elems[:20]]
     elems += [eng.inv(a) for a in elems]
     rng = random.Random(f"memo-{model.kind}-{len(graph.vertices)}")

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import bs_word_reduce, bs_words_equal
+from oracles import bs_word_reduce, bs_words_equal, cube_element
 from topraag import words as W
 from topraag.complexes import build_ball
 from topraag.errors import RegimeMismatch
@@ -269,7 +269,7 @@ def test_letter_products_agree_with_the_word_layer(monkeypatch, model, graph):
 def test_carried_exponent_is_the_word_exponent(model, graph, radius):
     ball = build_ball(model, graph, radius)
     eng = ball.engine
-    elems = list(ball.vertex_reps) + [ball.cube_element(c) for c in ball.cubes]
+    elems = list(ball.vertex_reps) + [cube_element(ball, c) for c in ball.cubes]
     for g, h in zip(elems, elems[1:] + elems[:1]):
         made = (g, eng.mul(g, h), eng.inv(g), eng.coset_split(g)[0], eng.n_part(g),
                 eng.make(g.n, g.a), eng.identity())
