@@ -575,20 +575,25 @@ def _vertex_links(ball: CubeBall, vertices) -> list[SimplicialComplex | None]:
 
 
 def common_face_check(ball: CubeBall):
-    """Every pair of cubes with common vertices must meet in a common face."""
-    by_vertex, masks = {}, []           # cube ids in increasing order; corner -> mask
+    """Every pair of cubes with common vertices must meet in a common face.
+
+    One shared corner always spans a face, so 0-cubes are not paired and a
+    pair meeting in one corner is not tested.  Every other pair is tested
+    once, at its least shared corner; with the corners taken in id order,
+    the first pair that fails is the witness."""
+    # per vertex the positive cubes at it, in increasing id order; per cube corner -> mask
+    by_vertex, masks = [[] for _ in range(ball.n_vertices)], []
     for idx, c in enumerate(ball.cubes):
         masks.append({v: m for m, v in enumerate(c.corners)})
-        for v in c.corners:
-            by_vertex.setdefault(v, []).append(idx)
-    checked = set()
-    for incident in by_vertex.values():
+        if c.dim:
+            for v in c.corners:
+                by_vertex[v].append(idx)
+    for v, incident in enumerate(by_vertex):
         for i, j in itertools.combinations(incident, 2):
-            if (i, j) in checked:
-                continue
-            checked.add((i, j))
             shared = masks[i].keys() & masks[j].keys()
-            if not (_spans_face(masks[i], shared) and _spans_face(masks[j], shared)):
+            if len(shared) > 1 and min(shared) == v and not (
+                _spans_face(masks[i], shared) and _spans_face(masks[j], shared)
+            ):
                 return False, (sorted(ball.cubes[i].corners), sorted(ball.cubes[j].corners))
     return True, None
 

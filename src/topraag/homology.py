@@ -1,16 +1,18 @@
 """Exact integral cellular homology of finite cube complexes.
 
 Boundary matrices carry the standard cubical signs; Smith normal form runs
-over arbitrary-precision integers with a sparse unit-pivot sweep before the
-dense core reduction, and every chain complex is checked to satisfy dd = 0
-on construction.  Reduced homology is computed from the augmented complex.
+over arbitrary-precision integers as one column reduction by unit pivots
+before the dense core reduction, top down through a chain complex with
+clearing, and every chain complex is checked to satisfy dd = 0 on
+construction.  Reduced homology is computed from the augmented complex, and
+persistence ranks are read off the bigger complex's pivots.
 """
 
 from __future__ import annotations
 
 import bisect
 import heapq
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import EmptyWindow, NonClosedComplex
 
@@ -59,6 +61,8 @@ class SNFResult:
     rank: int
     shape: tuple[int, int]
     transforms: tuple | None = None   # (S, T) with S * M * T = D when requested
+    lows: frozenset = frozenset()     # rows of the unit pivots of the column reduction
+    core: list = field(default_factory=list)   # residual columns (row -> value), cleared
 
     def diagonal(self):
         m, n = self.shape
@@ -68,15 +72,22 @@ class SNFResult:
         return d
 
 
-def smith_normal_form(matrix, with_transforms: bool = False) -> SNFResult:
+def smith_normal_form(matrix, with_transforms: bool = False, clear=frozenset()) -> SNFResult:
     """Exact Smith normal form.
 
     ``matrix`` is a dense list of rows or a SparseMatrix.  Without
-    transforms, a sparse elimination of +-1 pivots runs first and only the
-    leftover core goes through the dense algorithm.
+    transforms, the columns not in ``clear`` are reduced left to right:
+    each is reduced by earlier pivots at its lowest (largest) row until that
+    row has no pivot, and it becomes a pivot when its low entry is +-1.
+    Every other nonzero column is residual and is then cleared on all pivot
+    rows, bottom up.  Column steps are unimodular, and pivots with distinct
+    unit lows give D = I_|P| + SNF(core) by row steps that leave the
+    cleared residual alone, so only the residual core goes through the
+    dense algorithm; ``lows`` and ``core`` keep the reduction.  A column in
+    ``clear`` must be an integer combination of the other columns.
     """
     if isinstance(matrix, SparseMatrix):
-        rows = {i: dict(row) for i, row in matrix.rows.items() if row}
+        rows = matrix.rows
         shape = (matrix.nrows, matrix.ncols)
     else:
         rows = {i: {j: v for j, v in enumerate(row) if v} for i, row in enumerate(matrix) if any(row)}
@@ -85,72 +96,61 @@ def smith_normal_form(matrix, with_transforms: bool = False) -> SNFResult:
         dense = [[rows.get(i, {}).get(j, 0) for j in range(shape[1])] for i in range(shape[0])]
         divisors, s_mat, t_mat = _dense_snf(dense, carry=True)
         return SNFResult(divisors, len(divisors), shape, (s_mat, t_mat))
-    units = _sparse_unit_eliminate(rows)
-    core_divisors, _, _ = _dense_snf(_extract_core(rows), carry=False)
-    # every core divisor is a multiple of 1, so the chain stays sorted
-    divisors = [1] * units + core_divisors
-    return SNFResult(divisors, len(divisors), shape)
-
-
-def _sparse_unit_eliminate(rows: dict[int, dict[int, int]]) -> int:
-    """Eliminate +-1 pivots in place in one pass; returns their number.
-
-    Rows are visited shortest first through a lazy heap: every row that an
-    elimination changes is pushed again under its new length, and stale
-    entries are skipped when popped, so each row is looked at after its last
-    change and no +-1 entry survives.  Within a row the unit whose column
-    has the fewest entries is taken, which keeps fill-in low.  A unit pivot
-    needs only row operations to clear its column; its row and column then
-    drop out, since column operations would touch nothing else.
-    """
-    cols: dict[int, set[int]] = {}
+    columns = {j: {} for j in range(shape[1]) if j not in clear}
     for i, row in rows.items():
-        for j in row:
-            cols.setdefault(j, set()).add(i)
-    heap = [(len(row), i) for i, row in rows.items()]
-    heapq.heapify(heap)
-    count = 0
-    while heap:
-        length, pi = heapq.heappop(heap)
-        prow = rows.get(pi)
-        if prow is None or len(prow) != length:
-            continue
-        pj = None
-        for j, v in prow.items():
-            if (v == 1 or v == -1) and (pj is None or len(cols[j]) < len(cols[pj])):
-                pj = j
-        if pj is None:
-            continue
-        pv = prow[pj]
-        del rows[pi]
-        for j in prow:
-            cols[j].discard(pi)
-        for i in cols.pop(pj):
-            row = rows[i]
-            factor = row.pop(pj) * pv  # pv is its own inverse
-            for j, v in prow.items():
-                if j == pj:
-                    continue
-                new = row.get(j, 0) - factor * v
-                if new:
-                    if j not in row:
-                        cols[j].add(i)
-                    row[j] = new
+        for j, v in row.items():
+            col = columns.get(j)
+            if col is not None:
+                col[i] = v
+    pivots: dict[int, dict[int, int]] = {}
+    residual = []
+    for col in columns.values():
+        while col:
+            low = max(col)
+            pivot = pivots.get(low)
+            if pivot is None:
+                if col[low] == 1 or col[low] == -1:
+                    pivots[low] = col
                 else:
-                    del row[j]
-                    cols[j].discard(i)
-            if row:
-                heapq.heappush(heap, (len(row), i))
-            else:
-                del rows[i]
-        count += 1
-    return count
+                    residual.append(col)
+                break
+            _subtract(col, pivot, col[low] * pivot[low])  # a unit is its own inverse
+    core = []
+    for col in residual:
+        todo = [-i for i in col if i in pivots]
+        heapq.heapify(todo)
+        while todo:
+            i = -heapq.heappop(todo)
+            if i in col:
+                pivot = pivots[i]
+                for r in _subtract(col, pivot, col[i] * pivot[i]):
+                    if r in pivots:
+                        heapq.heappush(todo, -r)
+        if col:
+            core.append(col)
+    # every core divisor is a multiple of 1, so the chain stays sorted
+    divisors = [1] * len(pivots) + _core_divisors(core, 0)
+    return SNFResult(divisors, len(divisors), shape, lows=frozenset(pivots), core=core)
 
 
-def _extract_core(rows):
-    live_rows = sorted(rows)
-    live_cols = sorted({j for row in rows.values() for j in row})
-    return [[rows[i].get(j, 0) for j in live_cols] for i in live_rows]
+def _subtract(col, pivot, factor):
+    """col -= factor * pivot in place; returns the rows it fills in."""
+    filled = []
+    for i, v in pivot.items():
+        new = col.get(i, 0) - factor * v
+        if new:
+            if i not in col:
+                filled.append(i)
+            col[i] = new
+        else:
+            del col[i]
+    return filled
+
+
+def _core_divisors(core, a: int):
+    """Smith normal form divisors of the residual core on its rows >= a."""
+    live_rows = sorted({i for col in core for i in col if i >= a})
+    return _dense_snf([[col.get(i, 0) for col in core] for i in live_rows], carry=False)[0]
 
 
 def _dense_snf(mat, carry: bool):
@@ -265,21 +265,25 @@ class ChainComplex:
 
     def snf(self, degree: int) -> SNFResult:
         """Smith normal form of the boundary from ``degree`` to ``degree - 1``,
-        computed once per complex.  Degree 0 is the augmentation row, and a
-        degree without cells has the empty boundary."""
+        computed once per complex, top down with clearing: the degree above
+        goes first, and the columns at its pivot lows are dropped.  Such a
+        column is an integer combination of earlier columns (the reduced
+        column above has a unit at that low, its other entries on earlier
+        rows, and bounds to zero), so the divisors do not change.  Degree 0 is the augmentation
+        row, left with one column per component; a degree without cells has
+        the empty boundary."""
         res = self._snf.get(degree)
         if res is None:
+            lows = self.snf(degree + 1).lows if degree <= self.top_degree else frozenset()
             if degree == 0:
-                n0 = self.counts.get(0, 0)
-                matrix = SparseMatrix(1, n0)
-                for j in range(n0):
-                    matrix.set(0, j, 1)
+                matrix = SparseMatrix(1, self.counts.get(0, 0))
+                matrix.rows[0] = {j: 1 for j in range(matrix.ncols) if j not in lows}
             else:
                 matrix = self.boundaries.get(degree)
             if matrix is None:
                 res = SNFResult([], 0, (self.counts.get(degree - 1, 0), self.counts.get(degree, 0)))
             else:
-                res = smith_normal_form(matrix)
+                res = smith_normal_form(matrix, clear=lows)
             self._snf[degree] = res
         return res
 
@@ -491,10 +495,13 @@ def persistent_reduced_betti(small, big, degree: int) -> int:
         rank [dB_{k+1} | E_A] = a + rank dB_{k+1}(B, A)
 
     with dB_{k+1}(B, A) the relative boundary into C_k(B, A): dB_{k+1}
-    without its first a rows.  The last two ranks are the ones each complex
-    already keeps from its homology, so only the relative boundary needs a
-    new Smith normal form.  Raises NonClosedComplex when A's k-cells are
-    not a prefix of B's.
+    without its first a rows.  Deleting rows commutes with the column steps
+    of B's reduction.  On the rows >= a its pivots with a low < a vanish,
+    the others keep distinct unit lows, and the residual is zero on every
+    pivot row, so the relative rank is read off B's pivots with no new Smith
+    normal form: the pivots whose low is >= a, plus the rank of B's residual
+    core on its rows >= a.  This is exact with torsion too.  Raises
+    NonClosedComplex when A's k-cells are not a prefix of B's.
     """
     ccA = small if isinstance(small, ChainComplex) else chain_complex(small)
     ccB = big if isinstance(big, ChainComplex) else chain_complex(big)
@@ -503,10 +510,9 @@ def persistent_reduced_betti(small, big, degree: int) -> int:
     if ccB.cells.get(k, [])[: len(a_cells)] != a_cells:
         raise NonClosedComplex("small complex is not a prefix of the big one")
     a = len(a_cells)
-    relative = SparseMatrix(ccB.counts.get(k, 0) - a, ccB.counts.get(k + 1, 0))
-    if k + 1 in ccB.boundaries:
-        relative.rows = {i - a: row for i, row in ccB.boundaries[k + 1].rows.items() if i >= a}
-    return a + smith_normal_form(relative).rank - ccA.snf(k).rank - ccB.snf(k + 1).rank
+    res = ccB.snf(k + 1)
+    relative = sum(1 for low in res.lows if low >= a) + len(_core_divisors(res.core, a))
+    return a + relative - ccA.snf(k).rank - res.rank
 
 
 def valley_homology_report(graph, latitude: int, word_radius: int, **caps) -> dict:

@@ -29,7 +29,10 @@ the link of one vertex by a scan over every cube of the ball.
 
 ``rank_over_Q`` (fraction elimination) and ``rank_mod2`` (bitmask
 elimination) check the ranks of the Smith normal form; the two Euler
-characteristics check homology against cell counts.
+characteristics check homology against cell counts.  ``reference_snf`` is
+the Smith normal form by a heap-driven row sweep of +-1 pivots, the dense
+core reduced by the transform path of ``smith_normal_form``; it checks the
+column reduction, with and without clearing.
 
 ``least_key_coset_split`` is the automorphic engine's coset split by search:
 the least key over all of ``aU``, one right action by each element of U.
@@ -44,6 +47,7 @@ form when phi is the identity on O, independent of the rewriting engine.
 
 from fractions import Fraction
 
+import heapq
 import itertools
 
 from topraag import words as W
@@ -51,7 +55,7 @@ from topraag.complexes import base_apartment_trace
 from topraag.elements import invert_tokens, to_normal_sequence, u_token
 from topraag.graphs import SimplicialComplex
 from topraag.errors import NonClosedComplex, RegimeMismatch, WordLengthCap
-from topraag.homology import ChainComplex, SparseMatrix
+from topraag.homology import ChainComplex, SparseMatrix, smith_normal_form
 
 
 def chain_complex(cells) -> ChainComplex:
@@ -438,6 +442,75 @@ def _bits_in_use(rows):
             out.append(bit)
         bit <<= 1
     return out
+
+
+def reference_snf(matrix: SparseMatrix) -> list[int]:
+    """Smith normal form divisors: a sparse +-1 pivot sweep, then the dense
+    core through the transform path of smith_normal_form."""
+    rows = {i: dict(row) for i, row in matrix.rows.items() if row}
+    units = _sparse_unit_eliminate(rows)
+    return [1] * units + smith_normal_form(_extract_core(rows), with_transforms=True).divisors
+
+
+def _sparse_unit_eliminate(rows: dict[int, dict[int, int]]) -> int:
+    """Eliminate +-1 pivots in place in one pass; returns their number.
+
+    Rows are visited shortest first through a lazy heap: every row that an
+    elimination changes is pushed again under its new length, and stale
+    entries are skipped when popped, so each row is looked at after its last
+    change and no +-1 entry survives.  Within a row the unit whose column
+    has the fewest entries is taken, which keeps fill-in low.  A unit pivot
+    needs only row operations to clear its column; its row and column then
+    drop out, since column operations would touch nothing else.
+    """
+    cols: dict[int, set[int]] = {}
+    for i, row in rows.items():
+        for j in row:
+            cols.setdefault(j, set()).add(i)
+    heap = [(len(row), i) for i, row in rows.items()]
+    heapq.heapify(heap)
+    count = 0
+    while heap:
+        length, pi = heapq.heappop(heap)
+        prow = rows.get(pi)
+        if prow is None or len(prow) != length:
+            continue
+        pj = None
+        for j, v in prow.items():
+            if (v == 1 or v == -1) and (pj is None or len(cols[j]) < len(cols[pj])):
+                pj = j
+        if pj is None:
+            continue
+        pv = prow[pj]
+        del rows[pi]
+        for j in prow:
+            cols[j].discard(pi)
+        for i in cols.pop(pj):
+            row = rows[i]
+            factor = row.pop(pj) * pv  # pv is its own inverse
+            for j, v in prow.items():
+                if j == pj:
+                    continue
+                new = row.get(j, 0) - factor * v
+                if new:
+                    if j not in row:
+                        cols[j].add(i)
+                    row[j] = new
+                else:
+                    del row[j]
+                    cols[j].discard(i)
+            if row:
+                heapq.heappush(heap, (len(row), i))
+            else:
+                del rows[i]
+        count += 1
+    return count
+
+
+def _extract_core(rows):
+    live_rows = sorted(rows)
+    live_cols = sorted({j for row in rows.values() for j in row})
+    return [[rows[i].get(j, 0) for j in live_cols] for i in live_rows]
 
 
 def euler_characteristic_from_counts(counts: dict[int, int]) -> int:

@@ -936,6 +936,34 @@ def test_pockets_match_all_pairs_scan():
     assert detect_pockets(top_pair) == _pockets_all_pairs(top_pair) != []
 
 
+def _face_check_all_pairs(ball):
+    # reference: every pair of cubes, 0-cubes included, compared through
+    # their face sets; the witness is the failing pair least by (least
+    # shared corner, first cube, second cube)
+    faces = [cube_faces(c) for c in ball.cubes]
+    corners = [frozenset(c.corners) for c in ball.cubes]
+    failing = []
+    for i, j in itertools.combinations(range(len(ball.cubes)), 2):
+        shared = corners[i] & corners[j]
+        if shared and not (shared in faces[i] and shared in faces[j]):
+            failing.append((min(shared), i, j))
+    if not failing:
+        return True, None
+    _, i, j = min(failing)
+    return False, (sorted(ball.cubes[i].corners), sorted(ball.cubes[j].corners))
+
+
+@pytest.mark.parametrize(
+    "model, graph, radius",
+    [(SM2, EDGE, 2), (SM2, EDGE, 4), (ShiftModel(3), path_graph("pqr"), 2),
+     (S3A3, EDGE, 2), (S3A3, EDGE, 3), (S3A3, complete_graph("abc"), 2)],
+    ids=["shift2-edge-r2", "shift2-edge-r4", "shift3-path3-r2", "s3a3-edge-r2", "s3a3-edge-r3", "s3a3-k3-r2"],
+)
+def test_common_face_check_matches_all_pairs_scan(model, graph, radius):
+    ball = build_ball(model, graph, radius)
+    assert common_face_check(ball) == _face_check_all_pairs(ball)
+
+
 def test_no_interior_vertices_raises():
     with pytest.raises(NoInteriorVertices):
         check_links(build_ball(S3A3, EDGE, 1))

@@ -1,5 +1,6 @@
 """Smith normal form, chain complexes, reduced homology, persistence."""
 
+import itertools
 import random
 import signal
 
@@ -17,6 +18,7 @@ from topraag.graphs import complete_graph, cycle_graph, edge_graph, path_graph, 
 from topraag.models import ShiftModel, TrivialModel, s3_a3_model
 from topraag.complexes import build_ball, valley_cells
 from topraag.homology import (
+    ChainComplex,
     SparseMatrix,
     chain_complex,
     clique_complex_homology,
@@ -142,8 +144,9 @@ def test_snf_divisors_match_sympy():
 
 
 def test_snf_unit_pivots_on_valley_boundaries():
-    # the boundaries are mostly +-1 entries, so the sparse pass does nearly
-    # all the work; Q-rank and GF(2) rank check it independently
+    # the boundaries are mostly +-1 entries, so the unit pivots of the column
+    # reduction do nearly all the work; Q-rank and GF(2) rank check it
+    # independently
     for graph in (path_graph("pqr"), complete_graph("abc")):
         verts, cubes = valley_cells(graph, 0, (-5, 0), 3)
         cc = chain_complex(cubes)
@@ -166,14 +169,76 @@ def test_mod2_betti_detects_torsion():
     b1 = SparseMatrix(1, 1)
     b2 = SparseMatrix(1, 1)
     b2.set(0, 0, 2)
-    from topraag.homology import ChainComplex
-
     cc = ChainComplex({1: b1, 2: b2}, {0: 1, 1: 1, 2: 1})
     res = reduced_homology(cc)
     assert res.betti[1] == 0 and res.torsion[1] == [2]
     # universal coefficients: dim H_k(F2) = betti_k + t_k(2) + t_{k-1}(2)
     dim_h1_mod2 = 1 - rank_mod2([[0]]) - rank_mod2([[2]])
     assert dim_h1_mod2 == res.betti[1] + 1  # torsion contributes once
+
+
+# The 6-vertex real projective plane: the ten triangles of the hemi-icosahedron.
+RP2_TRIANGLES = [
+    (1, 2, 3), (1, 3, 4), (1, 4, 5), (1, 5, 6), (1, 6, 2),
+    (2, 3, 5), (3, 4, 6), (4, 5, 2), (5, 6, 3), (6, 2, 4),
+]
+
+
+def test_rp2_torsion_through_a_residual_core():
+    simplices = {frozenset(f) for t in RP2_TRIANGLES for k in (1, 2, 3) for f in itertools.combinations(t, k)}
+    cc = simplicial_chain_complex(simplices)
+    assert cc.counts == {0: 6, 1: 15, 2: 10}
+    res = reduced_homology(cc)
+    assert res.betti == {0: 0, 1: 0, 2: 0}
+    assert res.torsion == {0: [], 1: [2], 2: []}
+    # a unit pivot only gives the divisor 1, so the 2 comes from the core,
+    # cleared on the pivot rows
+    top = cc.snf(2)
+    assert top.core and not any(i in top.lows for col in top.core for i in col)
+    assert top.divisors == oracles.reference_snf(cc.boundaries[2])
+
+
+def _loops(boundary_columns, n_loops):
+    # one vertex, n_loops 1-cells (so d1 = 0) and one 2-cell per column; the
+    # cell labels only need to be distinct
+    b2 = SparseMatrix(n_loops, len(boundary_columns))
+    for j, column in enumerate(boundary_columns):
+        for i, v in column.items():
+            b2.set(i, j, v)
+    cells = {0: [(0,)], 1: [(0, i) for i in range(n_loops)], 2: [(0, 0, 0, j) for j in range(b2.ncols)]}
+    cells = {d: c for d, c in cells.items() if c}
+    boundaries = {1: SparseMatrix(1, n_loops), 2: b2}
+    return ChainComplex({d: boundaries[d] for d in cells if d}, {d: len(c) for d, c in cells.items()}, cells)
+
+
+def _stacked_persistence(cc_a, cc_b, k):
+    # the rank of [dB_{k+1} | E_A], as in _two_window_report
+    a = cc_a.counts.get(k, 0)
+    n_cols = cc_b.counts.get(k + 1, 0)
+    stacked = SparseMatrix(cc_b.counts.get(k, 0), n_cols + a)
+    for i, j, v in (cc_b.boundaries[k + 1].entries() if k + 1 in cc_b.boundaries else ()):
+        stacked.set(i, j, v)
+    for j in range(a):
+        stacked.set(j, n_cols + j, 1)
+    return smith_normal_form(stacked).rank - cc_a.snf(k).rank - cc_b.snf(k + 1).rank
+
+
+def test_relative_rank_reads_the_residual_core():
+    # B: loops e0, e1, e2 and 2-cells with boundaries 2 e1 + 2 e2 and e2, so
+    # H1(B) = Z e0 + Z/2 e1.  The first column is residual at its low e2 until
+    # the second becomes the pivot there; cleared, it leaves the core [2] on
+    # row e1.  A keeps the vertex and the first a loops.
+    columns = [{1: 2, 2: 2}, {2: 1}]
+    cc_b = _loops(columns, 3)
+    assert [dict(col) for col in cc_b.snf(2).core] == [{1: 2}]
+    assert cc_b.snf(2).lows == {2}
+    for a in range(4):
+        for k in (0, 1):
+            cc_a = _loops([], a)
+            assert persistent_reduced_betti(cc_a, cc_b, k) == _stacked_persistence(cc_a, cc_b, k), (a, k)
+    # the class of the loop e0 survives; the pivots alone (none has its low
+    # on e1) would read rank 0
+    assert persistent_reduced_betti(_loops([], 1), cc_b, 1) == 1
 
 
 # The square (0, 1, 3, 2) has the induced faces (0, 1), (1, 2), (3, 2) and
@@ -437,6 +502,42 @@ def test_chain_complex_matches_oracle_on_valley_windows(name):
             e_range = (latitude - word_radius - 2, latitude)
             _, cubes = valley_cells(DIFF_GRAPHS[name], latitude, e_range, word_radius + 1)
             assert_same_chain_complex(cubes)
+
+
+def _fresh_divisors(cells, degrees):
+    # a fresh complex asked for its degrees in the given order
+    cc = chain_complex(cells)
+    return {d: cc.snf(d).divisors for d in degrees}
+
+
+def assert_cleared_snf_matches_the_reference(cells):
+    cc = chain_complex(cells)
+    top = cc.top_degree
+    got = _fresh_divisors(cells, range(top, -1, -1))
+    assert got == _fresh_divisors(cells, [*range(1, top + 1), 0])
+    for d in range(1, top + 1):
+        bd = cc.boundaries[d]
+        want = oracles.reference_snf(bd)
+        assert got[d] == want, d
+        assert smith_normal_form(bd).divisors == want, d
+    aug = SparseMatrix(1, cc.counts.get(0, 0))
+    for j in range(aug.ncols):
+        aug.set(0, j, 1)
+    assert got[0] == oracles.reference_snf(aug)
+
+
+@pytest.mark.parametrize("name", sorted(DIFF_GRAPHS))
+def test_cleared_snf_matches_the_reference_sweep(name):
+    # the balls of test_chain_complex_matches_oracle_on_balls and the windows
+    # of valley_homology_report up to word radius 5
+    for model in (TrivialModel(), ShiftModel(2), ShiftModel(3), s3_a3_model()):
+        for r in range(4):
+            assert_cleared_snf_matches_the_reference(build_ball(model, DIFF_GRAPHS[name], r))
+    for latitude in (-1, 0, 1):
+        for word_radius in range(6):
+            e_range = (latitude - word_radius - 2, latitude)
+            _, cubes = valley_cells(DIFF_GRAPHS[name], latitude, e_range, word_radius + 1)
+            assert_cleared_snf_matches_the_reference(cubes)
 
 
 @pytest.mark.parametrize("name", sorted(DIFF_GRAPHS))
